@@ -6,22 +6,22 @@
 //! SPAA 2015) and notes that the existing distributed algorithms cannot
 //! handle near-duplicates. Because Algorithm 1's state is a function of
 //! a shared hash/grid plus the observed points, robust samplers *merge*:
-//! sites run ordinary [`RobustL0Sampler`]s built from the **same
+//! sites run ordinary [`RobustL0Sampler`](crate::RobustL0Sampler)s built from the **same
 //! configuration** (hence identical grid and hash), and the coordinator
 //! unifies the site summaries at the coarsest rate, refilters with the
 //! shared hash (Fact 1b makes this sound), and deduplicates groups whose
 //! points were split across sites.
 //!
-//! Two summary flavours exist:
-//!
-//! * [`SiteSummary`] — the minimal wire format a site ships to a
-//!   coordinator (candidate sets + rate + config seed);
-//! * [`MergedSummary`] — the queryable, *self-mergeable* summary (it
-//!   carries the full [`SamplerConfig`], so two merged summaries combine
-//!   without out-of-band context). This is the associated
-//!   [`SamplerSummary`] type of [`RobustL0Sampler`] and what the sharded
-//!   engine reduces over; it also serializes, so coordinators can be
-//!   chained across the wire.
+//! The unit of exchange is [`MergedSummary`], the associated
+//! [`SamplerSummary`] type of [`RobustL0Sampler`](crate::RobustL0Sampler): a site ships
+//! [`DistinctSampler::summary`](crate::DistinctSampler::summary) (or
+//! `into_summary` once it is done ingesting), and the coordinator combines
+//! any number of them with [`SamplerSummary::merge_many`] — the same
+//! reduce the sharded engine runs over its shards. The summary is
+//! queryable, serializable and *self-mergeable*: it carries the full
+//! [`SamplerConfig`], so summaries combine without out-of-band context,
+//! mismatched configurations fail with [`RdsError::ConfigMismatch`], and
+//! coordinators can be chained across the wire.
 //!
 //! The merged summary answers the same queries as a single sampler that
 //! had seen the concatenation of all site streams, up to the choice of
@@ -29,7 +29,7 @@
 
 use crate::config::{SamplerConfig, SamplerContext};
 use crate::error::RdsError;
-use crate::infinite::{GroupRecord, RobustL0Sampler};
+use crate::infinite::GroupRecord;
 use crate::sampler::{derived_rng, SamplerSummary};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
@@ -37,27 +37,9 @@ use rds_geometry::Point;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// A serializable snapshot of one site's sampler state — what a site
-/// ships to the coordinator over the wire.
-///
-/// Produced by [`DistributedSampling::summarize`]; any number of
-/// summaries with the same `config_seed` can be merged with
-/// [`DistributedSampling::merge_summaries`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SiteSummary {
-    /// The site's current rate exponent (`R = 2^level`).
-    pub level: u32,
-    /// The site's accept set.
-    pub acc: Vec<GroupRecord>,
-    /// The site's reject set.
-    pub rej: Vec<GroupRecord>,
-    /// Seed of the shared configuration (grids/hashes must agree).
-    pub config_seed: u64,
-}
-
-/// The coordinator-side result of merging site summaries: queryable,
-/// serializable, and mergeable with other summaries of the same
-/// configuration ([`SamplerSummary::merge`]).
+/// A sampler's summary, or the coordinator-side merge of several:
+/// queryable, serializable, and mergeable with other summaries of the
+/// same configuration ([`SamplerSummary::merge`]).
 /// The candidate sets live behind [`Arc`] handles so that snapshot
 /// publication can share ("copy-on-write") the sets of an unchanged
 /// sampler across epochs instead of deep-copying them; `Arc` serializes
@@ -68,34 +50,6 @@ pub struct MergedSummary {
     level: u32,
     acc: Arc<Vec<GroupRecord>>,
     rej: Arc<Vec<GroupRecord>>,
-}
-
-impl RobustL0Sampler {
-    /// Snapshots the sampler's state as a [`SiteSummary`] (clones both
-    /// candidate sets; the sampler keeps running).
-    pub fn site_summary(&self) -> SiteSummary {
-        SiteSummary {
-            level: self.level(),
-            acc: self.accept_set(),
-            rej: self.reject_set(),
-            config_seed: self.context().cfg().seed,
-        }
-    }
-
-    /// Consumes the sampler and extracts its [`SiteSummary`] without
-    /// cloning the candidate sets — the cheap end-of-stream path for
-    /// sites that are done ingesting.
-    pub fn into_site_summary(self) -> SiteSummary {
-        let level = self.level();
-        let config_seed = self.context().cfg().seed;
-        let (acc, rej) = self.into_sets();
-        SiteSummary {
-            level,
-            acc,
-            rej,
-            config_seed,
-        }
-    }
 }
 
 impl MergedSummary {
@@ -284,98 +238,11 @@ fn absorb_record(
     // else: not a candidate at the common rate; dropped
 }
 
-/// Builds per-site samplers sharing one configuration, and merges their
-/// summaries.
-///
-/// # Examples
-///
-/// ```
-/// use rds_core::{DistributedSampling, SamplerConfig};
-/// use rds_geometry::Point;
-///
-/// let dist = DistributedSampling::new(SamplerConfig::builder(1, 0.5).seed(9).build().unwrap());
-/// let mut a = dist.new_site();
-/// let mut b = dist.new_site();
-/// a.process(&Point::new(vec![0.0]));
-/// b.process(&Point::new(vec![50.0]));
-/// let merged = dist.merge([&a, &b]).expect("same config");
-/// // summaries are immutable: the draw token supplies the randomness
-/// assert!(merged.query(1).is_some());
-/// assert_eq!(merged.f0_estimate(), 2.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct DistributedSampling {
-    cfg: SamplerConfig,
-}
-
-impl DistributedSampling {
-    /// Creates the coordinator for a given shared configuration. The
-    /// configuration's seed determines the common grid and hash: all
-    /// sites **must** be created through [`Self::new_site`] (or with a
-    /// byte-identical configuration).
-    pub fn new(cfg: SamplerConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Creates a site-local sampler (identical grid/hash across sites).
-    pub fn new_site(&self) -> RobustL0Sampler {
-        // lint:allow(L1) the stored config came from the validating
-        // builder and its fields are not mutable from outside the crate
-        RobustL0Sampler::try_new(self.cfg.clone()).unwrap()
-    }
-
-    /// Snapshots a site sampler's state for shipping to the coordinator
-    /// (e.g. via `serde_json`).
-    pub fn summarize(site: &RobustL0Sampler) -> SiteSummary {
-        site.site_summary()
-    }
-
-    /// Merges site summaries into a coordinator summary over the union
-    /// of the streams.
-    ///
-    /// Returns `None` when the sites disagree on the configuration seed
-    /// (they would have incompatible grids/hashes).
-    pub fn merge<'a, I>(&self, sites: I) -> Option<MergedSummary>
-    where
-        I: IntoIterator<Item = &'a RobustL0Sampler>,
-    {
-        let summaries: Vec<SiteSummary> = sites.into_iter().map(Self::summarize).collect();
-        self.merge_summaries(&summaries)
-    }
-
-    /// Merges deserialized [`SiteSummary`] snapshots (the wire-format
-    /// variant of [`Self::merge`]).
-    pub fn merge_summaries(&self, summaries: &[SiteSummary]) -> Option<MergedSummary> {
-        if summaries.iter().any(|s| s.config_seed != self.cfg.seed) {
-            return None;
-        }
-        // The coordinator rebuilds the shared context from the seed; it
-        // is identical to every site's (same deterministic construction).
-        let ctx = SamplerContext::new(self.cfg.clone());
-        // Unify at the coarsest rate present among the sites.
-        let level = summaries.iter().map(|s| s.level).max().unwrap_or(0);
-        let mut acc: Vec<GroupRecord> = Vec::new();
-        let mut rej: Vec<GroupRecord> = Vec::new();
-        let alpha = self.cfg.alpha;
-
-        // Refilter every site record at the common rate (Fact 1b: only
-        // removals), then deduplicate across sites by group membership.
-        for site in summaries {
-            for rec in &site.acc {
-                let sampled = rds_hashing::level_sampled(rec.cell_hash, level);
-                absorb_record(rec, sampled, level, alpha, &mut acc, &mut rej, &ctx);
-            }
-            for rec in &site.rej {
-                absorb_record(rec, false, level, alpha, &mut acc, &mut rej, &ctx);
-            }
-        }
-        Some(MergedSummary::from_parts(self.cfg.clone(), level, acc, rej))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infinite::RobustL0Sampler;
+    use crate::sampler::DistinctSampler;
 
     fn grouped_point(i: u64, n_groups: u64) -> Point {
         Point::new(vec![
@@ -383,18 +250,33 @@ mod tests {
         ])
     }
 
+    fn cfg(seed: u64, expected_len: u64) -> SamplerConfig {
+        SamplerConfig::builder(1, 0.5)
+            .seed(seed)
+            .expected_len(expected_len)
+            .build()
+            .unwrap()
+    }
+
+    fn site(cfg: &SamplerConfig) -> RobustL0Sampler {
+        RobustL0Sampler::try_new(cfg.clone()).unwrap()
+    }
+
+    /// The coordinator: one N-way merge of the sites' summaries.
+    fn merge(sites: &[&RobustL0Sampler]) -> Result<MergedSummary, RdsError> {
+        let summaries = sites.iter().map(|s| s.summary()).collect();
+        Ok(MergedSummary::merge_many(summaries)?.expect("at least one site"))
+    }
+
     #[test]
     fn merge_of_disjoint_sites_counts_all_groups() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(1).expected_len(200).build().unwrap(),
-        );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let cfg = cfg(1, 200);
+        let (mut a, mut b) = (site(&cfg), site(&cfg));
         for i in 0..100u64 {
             a.process(&grouped_point(i, 10)); // groups 0..10
             b.process(&grouped_point(i, 20)); // groups 0..20 (overlap!)
         }
-        let merged = dist.merge([&a, &b]).expect("same cfg");
+        let merged = merge(&[&a, &b]).expect("same cfg");
         // 20 distinct groups in the union; generous thresholds mean no
         // subsampling happened
         assert_eq!(merged.level(), 0);
@@ -403,31 +285,27 @@ mod tests {
 
     #[test]
     fn cross_site_groups_are_deduplicated() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(2).expected_len(64).build().unwrap(),
-        );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let cfg = cfg(2, 64);
+        let (mut a, mut b) = (site(&cfg), site(&cfg));
         // the same single group observed at both sites
         for i in 0..32u64 {
             a.process(&Point::new(vec![0.01 * (i % 3) as f64]));
             b.process(&Point::new(vec![0.02]));
         }
-        let merged = dist.merge([&a, &b]).expect("same cfg");
+        let merged = merge(&[&a, &b]).expect("same cfg");
         assert_eq!(merged.accept_set().len(), 1);
         assert_eq!(merged.accept_set()[0].count, 64, "counts must add up");
     }
 
     #[test]
     fn merge_unifies_mismatched_levels() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5)
-                .seed(3)
-                .expected_len(4096)
-                .kappa0(0.5).build().unwrap(),
-        );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let cfg = SamplerConfig::builder(1, 0.5)
+            .seed(3)
+            .expected_len(4096)
+            .kappa0(0.5)
+            .build()
+            .unwrap();
+        let (mut a, mut b) = (site(&cfg), site(&cfg));
         // site a sees many groups (forces doublings); b sees few
         for i in 0..2000u64 {
             a.process(&grouped_point(i, 512));
@@ -436,7 +314,7 @@ mod tests {
             b.process(&grouped_point(i, 4));
         }
         assert!(a.level() > b.level());
-        let merged = dist.merge([&a, &b]).expect("same cfg");
+        let merged = merge(&[&a, &b]).expect("same cfg");
         assert_eq!(merged.level(), a.level());
         // every merged accepted record passes the common rate
         for rec in merged.accept_set() {
@@ -446,32 +324,26 @@ mod tests {
 
     #[test]
     fn merged_query_is_some_when_any_site_nonempty() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(4).expected_len(16).build().unwrap(),
-        );
-        let a = dist.new_site();
-        let mut b = dist.new_site();
+        let cfg = cfg(4, 16);
+        let (a, mut b) = (site(&cfg), site(&cfg));
         b.process(&Point::new(vec![5.0]));
-        let merged = dist.merge([&a, &b]).expect("same cfg");
+        let merged = merge(&[&a, &b]).expect("same cfg");
         assert_eq!(merged.query(1), Some(Point::new(vec![5.0])));
     }
 
     #[test]
-    fn into_site_summary_agrees_with_cloning_site_summary() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(31).expected_len(128).build().unwrap(),
-        );
-        let mut site = dist.new_site();
+    fn into_summary_agrees_with_cloning_summary() {
+        let mut s = site(&cfg(31, 128));
         for i in 0..64u64 {
-            site.process(&grouped_point(i, 16));
+            s.process(&grouped_point(i, 16));
         }
-        let cloned = site.site_summary();
-        let moved = site.into_site_summary();
-        assert_eq!(moved.level, cloned.level);
-        assert_eq!(moved.config_seed, cloned.config_seed);
-        assert_eq!(moved.acc.len(), cloned.acc.len());
-        assert_eq!(moved.rej.len(), cloned.rej.len());
-        for (a, b) in moved.acc.iter().zip(cloned.acc.iter()) {
+        let cloned = s.summary();
+        let moved = s.into_summary();
+        assert_eq!(moved.level(), cloned.level());
+        assert_eq!(moved.cfg(), cloned.cfg());
+        assert_eq!(moved.accept_set().len(), cloned.accept_set().len());
+        assert_eq!(moved.reject_set().len(), cloned.reject_set().len());
+        for (a, b) in moved.accept_set().iter().zip(cloned.accept_set()) {
             assert_eq!(a.rep, b.rep);
             assert_eq!(a.count, b.count);
         }
@@ -479,16 +351,13 @@ mod tests {
 
     #[test]
     fn merged_query_k_returns_distinct_groups() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(32).expected_len(256).build().unwrap(),
-        );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let cfg = cfg(32, 256);
+        let (mut a, mut b) = (site(&cfg), site(&cfg));
         for i in 0..128u64 {
             a.process(&grouped_point(i, 8));
             b.process(&grouped_point(i, 16));
         }
-        let merged = dist.merge([&a, &b]).expect("same cfg");
+        let merged = merge(&[&a, &b]).expect("same cfg");
         let picks = merged.query_k(3, 1);
         assert_eq!(picks.len(), 3);
         for i in 0..picks.len() {
@@ -503,40 +372,46 @@ mod tests {
 
     #[test]
     fn mismatched_configs_are_rejected() {
-        let dist = DistributedSampling::new(SamplerConfig::builder(1, 0.5).seed(5).build().unwrap());
-        let alien = RobustL0Sampler::try_new(SamplerConfig::builder(1, 0.5).seed(6).build().unwrap()).unwrap();
-        assert!(dist.merge([&alien]).is_none());
+        let ours = site(&SamplerConfig::builder(1, 0.5).seed(5).build().unwrap());
+        let alien = site(&SamplerConfig::builder(1, 0.5).seed(6).build().unwrap());
+        assert!(matches!(
+            merge(&[&ours, &alien]),
+            Err(RdsError::ConfigMismatch { .. })
+        ));
+        // same seed, different alpha: the full configuration must agree
+        let wide = site(&SamplerConfig::builder(1, 0.75).seed(5).build().unwrap());
+        assert!(matches!(
+            merge(&[&ours, &wide]),
+            Err(RdsError::ConfigMismatch { .. })
+        ));
     }
 
     #[test]
-    fn pairwise_merge_agrees_with_coordinator_merge() {
-        // MergedSummary::merge (the trait path the sharded engine reduces
-        // over) must agree with DistributedSampling::merge_summaries.
-        use crate::sampler::DistinctSampler;
-        let cfg = SamplerConfig::builder(1, 0.5).seed(41).expected_len(512).build().unwrap();
-        let dist = DistributedSampling::new(cfg.clone());
-        let mut sites: Vec<RobustL0Sampler> = (0..3).map(|_| dist.new_site()).collect();
+    fn pairwise_merge_agrees_with_n_way_merge() {
+        // MergedSummary::merge folded pairwise must agree with the
+        // single-pass merge_many the coordinator and the engine use.
+        let cfg = cfg(41, 512);
+        let mut sites: Vec<RobustL0Sampler> = (0..3).map(|_| site(&cfg)).collect();
         for i in 0..300u64 {
             sites[(i % 3) as usize].process(&grouped_point(i, 30));
         }
-        let coordinator = dist.merge(sites.iter()).expect("same cfg");
+        let n_way = merge(&sites.iter().collect::<Vec<_>>()).expect("same cfg");
         let pairwise = sites
             .iter()
             .map(DistinctSampler::summary)
             .reduce(|a, b| a.merge(b).expect("same cfg"))
             .expect("non-empty");
-        assert_eq!(pairwise.f0_estimate(), coordinator.f0_estimate());
-        assert_eq!(pairwise.level(), coordinator.level());
-        assert_eq!(pairwise.accept_set().len(), coordinator.accept_set().len());
+        assert_eq!(pairwise.f0_estimate(), n_way.f0_estimate());
+        assert_eq!(pairwise.level(), n_way.level());
+        assert_eq!(pairwise.accept_set().len(), n_way.accept_set().len());
     }
 
     #[test]
     fn pairwise_merge_rejects_config_mismatch() {
-        use crate::sampler::{DistinctSampler, SamplerSummary};
-        let a = RobustL0Sampler::try_new(SamplerConfig::builder(1, 0.5).seed(1).build().unwrap()).unwrap();
-        let b = RobustL0Sampler::try_new(SamplerConfig::builder(1, 0.5).seed(2).build().unwrap()).unwrap();
+        let a = site(&SamplerConfig::builder(1, 0.5).seed(1).build().unwrap());
+        let b = site(&SamplerConfig::builder(1, 0.5).seed(2).build().unwrap());
         assert!(matches!(
-            DistinctSampler::summary(&a).merge(DistinctSampler::summary(&b)),
+            a.summary().merge(b.summary()),
             Err(RdsError::ConfigMismatch { .. })
         ));
     }
@@ -546,19 +421,18 @@ mod tests {
         let n_union = 16u64;
         let mut hist = rds_metrics::SampleHistogram::new(n_union as usize);
         for run in 0..400u64 {
-            let dist = DistributedSampling::new(
-                SamplerConfig::builder(1, 0.5)
-                    .seed(run * 97 + 7)
-                    .expected_len(256)
-                    .kappa0(1.0).build().unwrap(),
-            );
-            let mut a = dist.new_site();
-            let mut b = dist.new_site();
+            let cfg = SamplerConfig::builder(1, 0.5)
+                .seed(run * 97 + 7)
+                .expected_len(256)
+                .kappa0(1.0)
+                .build()
+                .unwrap();
+            let (mut a, mut b) = (site(&cfg), site(&cfg));
             for i in 0..128u64 {
                 a.process(&grouped_point(i, 8)); // groups 0..8
                 b.process(&Point::new(vec![(8 + (i % 8)) as f64 * 10.0])); // groups 8..16
             }
-            let merged = dist.merge([&a, &b]).expect("same cfg");
+            let merged = merge(&[&a, &b]).expect("same cfg");
             let q = merged.query(1).expect("non-empty");
             hist.record((q.get(0) / 10.0).round() as usize);
         }
@@ -573,46 +447,37 @@ mod tests {
 #[cfg(test)]
 mod serde_tests {
     use super::*;
-    use crate::sampler::SamplerSummary;
+    use crate::infinite::RobustL0Sampler;
+    use crate::sampler::DistinctSampler;
 
-    #[test]
-    fn site_summary_round_trips_through_json() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(2, 0.5).seed(21).expected_len(64).build().unwrap(),
-        );
-        let mut site = dist.new_site();
-        for i in 0..40u64 {
-            site.process(&Point::new(vec![(i % 8) as f64 * 10.0, 0.0]));
-        }
-        let summary = DistributedSampling::summarize(&site);
-        let wire = serde_json::to_string(&summary).expect("serializes");
-        let back: SiteSummary = serde_json::from_str(&wire).expect("deserializes");
-        assert_eq!(back.level, summary.level);
-        assert_eq!(back.acc.len(), summary.acc.len());
-        assert_eq!(back.config_seed, summary.config_seed);
-        // merging the deserialized summary works like merging the site
-        let merged = dist.merge_summaries(&[back]).expect("same seed");
-        assert!(merged.query(1).is_some());
-        assert_eq!(merged.f0_estimate(), 8.0);
+    fn site(seed: u64) -> RobustL0Sampler {
+        let cfg = SamplerConfig::builder(1, 0.5)
+            .seed(seed)
+            .expected_len(128)
+            .build()
+            .unwrap();
+        RobustL0Sampler::try_new(cfg).unwrap()
+    }
+
+    fn over_the_wire(summary: &MergedSummary) -> MergedSummary {
+        let wire = serde_json::to_vec(summary).expect("serializes");
+        serde_json::from_slice(&wire).expect("deserializes")
     }
 
     #[test]
     fn summaries_from_multiple_sites_merge_after_the_wire() {
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(22).expected_len(64).build().unwrap(),
-        );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let (mut a, mut b) = (site(22), site(22));
         for i in 0..20u64 {
             a.process(&Point::new(vec![(i % 4) as f64 * 10.0]));
             b.process(&Point::new(vec![(4 + i % 4) as f64 * 10.0]));
         }
-        let wire_a = serde_json::to_vec(&DistributedSampling::summarize(&a)).expect("ser");
-        let wire_b = serde_json::to_vec(&DistributedSampling::summarize(&b)).expect("ser");
-        let sa: SiteSummary = serde_json::from_slice(&wire_a).expect("de");
-        let sb: SiteSummary = serde_json::from_slice(&wire_b).expect("de");
-        let merged = dist.merge_summaries(&[sa, sb]).expect("same seed");
+        let sa = over_the_wire(&a.summary());
+        let sb = over_the_wire(&b.summary());
+        let merged = MergedSummary::merge_many(vec![sa, sb])
+            .expect("same cfg")
+            .expect("non-empty");
         assert_eq!(merged.f0_estimate(), 8.0);
+        assert!(merged.query(1).is_some());
     }
 
     #[test]
@@ -620,21 +485,17 @@ mod serde_tests {
         // The wire format the chained-coordinator path depends on: a
         // MergedSummary survives serialization with its query and merge
         // capabilities intact.
-        let dist = DistributedSampling::new(
-            SamplerConfig::builder(1, 0.5).seed(25).expected_len(128).build().unwrap(),
-        );
-        let mut a = dist.new_site();
-        let mut b = dist.new_site();
+        let (mut a, mut b) = (site(25), site(25));
         for i in 0..64u64 {
             a.process(&Point::new(vec![(i % 6) as f64 * 10.0]));
             b.process(&Point::new(vec![(6 + i % 6) as f64 * 10.0]));
         }
-        let merged = dist.merge([&a, &b]).expect("same cfg");
-        let wire = serde_json::to_string(&merged).expect("serializes");
-        let back: MergedSummary = serde_json::from_str(&wire).expect("deserializes");
+        let merged = a.summary().merge(b.summary()).expect("same cfg");
+        let back = over_the_wire(&merged);
         assert_eq!(back.f0_estimate(), merged.f0_estimate());
         assert_eq!(back.level(), merged.level());
         assert_eq!(back.alpha(), merged.alpha());
+        assert_eq!(back.cfg(), merged.cfg());
         assert_eq!(back.accept_set().len(), merged.accept_set().len());
         for (x, y) in back.accept_set().iter().zip(merged.accept_set()) {
             assert_eq!(x.rep, y.rep);
@@ -643,18 +504,21 @@ mod serde_tests {
         }
         assert!(back.query(1).is_some());
         // still mergeable after the wire
-        let mut c = dist.new_site();
+        let mut c = site(25);
         c.process(&Point::new(vec![500.0]));
-        let other = dist.merge([&c]).expect("same cfg");
-        let combined = back.merge(other).expect("same cfg");
+        let combined = back.merge(c.summary()).expect("same cfg");
         assert_eq!(combined.f0_estimate(), 13.0);
     }
 
     #[test]
     fn wire_summary_with_wrong_seed_is_rejected() {
-        let dist = DistributedSampling::new(SamplerConfig::builder(1, 0.5).seed(23).build().unwrap());
-        let other = RobustL0Sampler::try_new(SamplerConfig::builder(1, 0.5).seed(24).build().unwrap()).unwrap();
-        let summary = DistributedSampling::summarize(&other);
-        assert!(dist.merge_summaries(&[summary]).is_none());
+        let (mut ours, mut other) = (site(23), site(24));
+        ours.process(&Point::new(vec![0.0]));
+        other.process(&Point::new(vec![50.0]));
+        let foreign = over_the_wire(&other.summary());
+        assert!(matches!(
+            ours.summary().merge(foreign),
+            Err(RdsError::ConfigMismatch { .. })
+        ));
     }
 }

@@ -459,7 +459,7 @@ impl RobustL0Sampler {
 
     /// Consumes the sampler, handing out both candidate sets without
     /// cloning any point (the cheap path behind
-    /// [`Self::into_site_summary`](crate::distributed) extraction).
+    /// [`DistinctSampler::into_summary`]).
     pub(crate) fn into_sets(self) -> (Vec<GroupRecord>, Vec<GroupRecord>) {
         self.store.into_records()
     }

@@ -23,7 +23,7 @@ mod sw_hier;
 
 pub use checkpoint::{Checkpointable, RngState};
 pub use config::{SamplerConfig, SamplerConfigBuilder, SamplerContext, MAX_LEVEL};
-pub use distributed::{DistributedSampling, MergedSummary, SiteSummary};
+pub use distributed::MergedSummary;
 pub use error::RdsError;
 pub use heavy::{HeavyGroup, RobustHeavyHitters};
 pub use infinite::{BatchStats, GroupRecord, ProcessOutcome, RobustL0Sampler, RobustL0State};

@@ -10,6 +10,10 @@
 //! substreams *is* the stream, and the merge deduplicates groups whose
 //! points were split across shards.
 //!
+//! A one-shard engine is the plain sampler run inline on the caller's
+//! thread — no worker thread, no channel, no routing — so one API covers
+//! the unsharded case at the bare sampler's cost.
+//!
 //! The engine is generic over `S: DistinctSampler + Send`, so
 //! sliding-window ([`SlidingWindowSampler`]) and other workloads shard
 //! exactly like the infinite-window one ([`RobustL0Sampler`], the default
@@ -41,7 +45,8 @@
 //! snapshots mid-stream observes the engine, it does not alter its
 //! batching. Call `flush` first when a read must cover every ingested
 //! item; [`ShardedEngine::finish`] always covers everything (it flushes,
-//! then moves the final shard states out).
+//! then moves the final shard states out). A one-shard engine buffers
+//! nothing, so its reads always cover every ingested item.
 //!
 //! ```
 //! use rds_core::SamplerConfig;
@@ -72,11 +77,16 @@ use rds_geometry::{Grid, Point};
 use rds_hashing::CellKeyMixer;
 use rds_stream::{Stamp, StreamItem, Window};
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// Default number of items per batch handed to a worker shard.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
+
+/// Largest accepted batch size: every worker shard preallocates one
+/// batch, and a forged checkpoint must not request an allocation that
+/// aborts the process.
+pub const MAX_BATCH_SIZE: usize = 1 << 16;
 
 /// The routing grid is this factor coarser than the sampler grid, so one
 /// entity (diameter <= alpha) straddles a routing-cell boundary — and thus
@@ -87,25 +97,18 @@ const ROUTE_SIDE_FACTOR: f64 = 4.0;
 const ROUTE_GRID_SALT: u64 = 0x5AAD_ED01;
 const ROUTE_MIX_SALT: u64 = 0x5AAD_ED02;
 
-enum Cmd<S: DistinctSampler> {
-    Batch(Vec<StreamItem>),
-    Snapshot(Sender<S::Summary>, Stamp),
-    /// Runs an arbitrary closure against the worker's sampler — the
-    /// escape hatch behind [`ShardedEngine::checkpoint`], which needs the
-    /// full state ([`Checkpointable`]) rather than a query summary. The
-    /// closure form keeps the worker loop compilable for sampler families
-    /// that are not checkpointable.
-    Inspect(Box<dyn FnOnce(&mut S) + Send>),
-}
+/// Work queued on a shard's worker thread and run against its sampler in
+/// FIFO order: a batch to ingest, or a read whose result travels back on
+/// a reply channel of its own.
+type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
 
-struct Shard<S: DistinctSampler> {
-    tx: Sender<Cmd<S>>,
+struct Shard<S> {
+    tx: Sender<Job<S>>,
     buf: Vec<StreamItem>,
     routed: u64,
-    /// Whether the worker received state-changing commands (batches,
-    /// inspections) since this handle last cached its summary. Clean
-    /// shards skip the snapshot round trip entirely — the engine-level
-    /// dirty bit of the copy-on-write publication path.
+    /// Whether the worker received batches since this handle last cached
+    /// its summary. Clean shards skip the snapshot round trip entirely —
+    /// the engine-level dirty bit of the copy-on-write publication path.
     dirty: bool,
 }
 
@@ -133,10 +136,247 @@ impl Router {
     }
 }
 
+/// Where the shards' samplers live.
+enum Shards<S: DistinctSampler> {
+    /// One shard: its sampler, fed on the caller's thread.
+    Inline(S),
+    /// Two or more shards: one worker thread each, fed by the router.
+    Workers(Workers<S>),
+}
+
+/// The worker threads of a multi-shard engine, their channels, and the
+/// cached per-shard summaries of the copy-on-write publication path.
+struct Workers<S: DistinctSampler> {
+    router: Router,
+    shards: Vec<Shard<S>>,
+    handles: Vec<JoinHandle<S>>,
+    /// Last summary received from each shard, reused verbatim while the
+    /// shard stays clean (no round trip, no copy — the per-shard
+    /// summaries are `Arc`-backed).
+    summary_cache: Vec<Option<S::Summary>>,
+    /// The engine clock the cached summaries were advanced to; a moved
+    /// clock invalidates them for time-sensitive sampler families.
+    snapshot_stamp: Option<Stamp>,
+    /// The reduce of the cached per-shard summaries, valid while every
+    /// shard is clean — makes a quiet engine's publication `O(1)`.
+    merged_cache: Option<S::Summary>,
+}
+
+impl<S> Workers<S>
+where
+    S: DistinctSampler + Send + 'static,
+    S::Summary: Send + 'static,
+{
+    /// Spawns one worker thread per sampler `make` builds (called once
+    /// per shard, in shard order).
+    fn spawn(cfg: &SamplerConfig, n_shards: usize, mut make: impl FnMut(usize) -> S) -> Self {
+        let mut shards = Vec::with_capacity(n_shards);
+        let mut handles = Vec::with_capacity(n_shards);
+        for i in 0..n_shards {
+            let (tx, rx) = mpsc::channel::<Job<S>>();
+            let mut sampler = make(i);
+            handles.push(std::thread::spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    job(&mut sampler);
+                }
+                sampler
+            }));
+            shards.push(Shard {
+                tx,
+                buf: Vec::with_capacity(DEFAULT_BATCH_SIZE),
+                routed: 0,
+                dirty: true,
+            });
+        }
+        Self {
+            router: Router::new(cfg),
+            shards,
+            handles,
+            summary_cache: (0..n_shards).map(|_| None).collect(),
+            snapshot_stamp: None,
+            merged_cache: None,
+        }
+    }
+
+    /// Buffers `item` for its shard, shipping the buffer when it reaches
+    /// `batch_size`.
+    fn route(&mut self, item: StreamItem, batch_size: usize) {
+        let s = self.router.shard_of(&item.point, self.shards.len());
+        let shard = &mut self.shards[s];
+        shard.routed += 1;
+        shard.buf.push(item);
+        if shard.buf.len() >= batch_size {
+            Self::ship(shard, batch_size);
+        }
+    }
+
+    /// Ships one shard's buffer to its worker.
+    fn ship(shard: &mut Shard<S>, batch_size: usize) {
+        let batch = std::mem::replace(&mut shard.buf, Vec::with_capacity(batch_size));
+        shard.dirty = true;
+        let job: Job<S> = Box::new(move |sampler| {
+            sampler.process_batch(&batch);
+        });
+        Self::send(shard, job);
+    }
+
+    fn send(shard: &Shard<S>, job: Job<S>) {
+        shard
+            .tx
+            .send(job)
+            // lint:allow(L1) a send fails only when the worker hung up,
+            // which means it already panicked; propagating that panic
+            // here is the only sound response
+            .expect("shard worker terminated");
+    }
+
+    /// Queues `read` behind every job already sent to the shard; its
+    /// result arrives on the returned channel.
+    fn request<T: Send + 'static>(
+        shard: &Shard<S>,
+        read: impl FnOnce(&mut S) -> T + Send + 'static,
+    ) -> Receiver<T> {
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let job: Job<S> = Box::new(move |sampler| {
+            // receiver may have given up; ignore
+            let _ = reply_tx.send(read(sampler));
+        });
+        Self::send(shard, job);
+        reply_rx
+    }
+
+    fn flush(&mut self, batch_size: usize) {
+        for shard in &mut self.shards {
+            if !shard.buf.is_empty() {
+                Self::ship(shard, batch_size);
+            }
+        }
+    }
+
+    /// Every shard's summary at clock `now`; clean shards are served from
+    /// the cache without a round trip.
+    fn summaries(&mut self, now: Stamp) -> Vec<S::Summary>
+    where
+        S::Summary: Clone,
+    {
+        let clock_moved = S::TIME_SENSITIVE && self.snapshot_stamp != Some(now);
+        self.snapshot_stamp = Some(now);
+        // Ask every stale shard before waiting on any, so the workers
+        // summarize in parallel.
+        let pending: Vec<_> = self
+            .shards
+            .iter()
+            .zip(&self.summary_cache)
+            .map(|(shard, cached)| {
+                (shard.dirty || clock_moved || cached.is_none()).then(|| {
+                    Self::request(shard, move |sampler: &mut S| {
+                        sampler.advance(now);
+                        sampler.summary_cow()
+                    })
+                })
+            })
+            .collect();
+        for (i, rx) in pending.into_iter().enumerate() {
+            if let Some(rx) = rx {
+                self.summary_cache[i] = Some(reply(rx));
+                self.shards[i].dirty = false;
+                self.merged_cache = None;
+            }
+        }
+        // every slot is filled now: fresh, or clean and cached
+        self.summary_cache.iter().flatten().cloned().collect()
+    }
+
+    /// The merge of every shard's summary at clock `now`.
+    fn snapshot(&mut self, now: Stamp) -> S::Summary
+    where
+        S::Summary: Clone,
+    {
+        let summaries = self.summaries(now);
+        if let Some(cached) = &self.merged_cache {
+            // Every shard was served from cache, so the previous reduce
+            // is still exact — a quiet engine publishes in O(1).
+            return cached.clone();
+        }
+        let merged = reduce::<S>(summaries);
+        self.merged_cache = Some(merged.clone());
+        merged
+    }
+
+    /// Runs `read` on every worker's sampler — queued FIFO behind every
+    /// batch already shipped, after flushing the buffers — and collects
+    /// the results in shard order.
+    fn inspect<T, F>(&mut self, batch_size: usize, read: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(&S) -> T + Clone + Send + 'static,
+    {
+        self.flush(batch_size);
+        let pending: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let read = read.clone();
+                Self::request(shard, move |sampler: &mut S| read(sampler))
+            })
+            .collect();
+        pending.into_iter().map(reply).collect()
+    }
+
+    /// Flushes, shuts the workers down and returns their final summaries
+    /// at clock `now`, moving (not cloning) every shard's state.
+    fn finish(mut self, batch_size: usize, now: Stamp) -> Vec<S::Summary> {
+        self.flush(batch_size);
+        // Dropping the senders ends each worker's receive loop.
+        self.shards.clear();
+        std::mem::take(&mut self.handles)
+            .into_iter()
+            .map(|h| {
+                // lint:allow(L1) join returns Err only when the worker
+                // panicked; re-raising that panic on the caller is the
+                // documented contract of finish
+                let mut sampler = h.join().expect("shard worker panicked");
+                sampler.advance(now);
+                sampler.into_summary()
+            })
+            .collect()
+    }
+}
+
+/// Waits for a reply to [`Workers::request`].
+fn reply<T>(rx: Receiver<T>) -> T {
+    // lint:allow(L1) recv fails only when the worker dropped the reply
+    // sender mid-request, i.e. it panicked
+    rx.recv().expect("shard worker terminated")
+}
+
+impl<S: DistinctSampler> Drop for Workers<S> {
+    fn drop(&mut self) {
+        // Close the channels so the workers exit their loops, then wait
+        // for them; buffered items are discarded (call `finish` to keep
+        // them).
+        self.shards.clear();
+        for h in std::mem::take(&mut self.handles) {
+            let _ = h.join();
+        }
+    }
+}
+
+fn reduce<S: DistinctSampler>(summaries: Vec<S::Summary>) -> S::Summary {
+    S::Summary::merge_many(summaries)
+        // lint:allow(L1) every shard sampler is built from the one
+        // validated engine config, so the merge cannot mismatch
+        .expect("shards share one configuration by construction")
+        // lint:allow(L1) try_new rejects zero shards, so the summary
+        // vec is never empty
+        .expect("engine has at least one shard")
+}
+
 /// A sharded ingestion pipeline, generic over the sampler family `S`:
 /// hash-partitions stream items across `N` worker threads, each owning an
 /// `S` built from the shared configuration, and answers queries by
-/// merging the per-shard [`DistinctSampler::Summary`]s.
+/// merging the per-shard [`DistinctSampler::Summary`]s. With `N == 1` the
+/// one sampler runs inline on the caller's thread instead.
 ///
 /// The default type parameter is the infinite-window [`RobustL0Sampler`];
 /// [`ShardedEngine::try_sliding_window`] builds the same pipeline over
@@ -150,40 +390,32 @@ impl Router {
 /// ingested item. Dropping the engine shuts the workers down;
 /// [`finish`](Self::finish) flushes, then hands back the final merged
 /// summary without cloning shard state.
-#[derive(Debug)]
 pub struct ShardedEngine<S: DistinctSampler = RobustL0Sampler> {
     cfg: SamplerConfig,
-    router: Router,
-    shards: Vec<Shard<S>>,
-    handles: Vec<JoinHandle<S>>,
+    shards: Shards<S>,
     batch_size: usize,
     seen: u64,
     last_stamp: Stamp,
     draws: u64,
-    /// Last summary received from each shard, reused verbatim while the
-    /// shard stays clean (no round trip, no copy — the per-shard
-    /// summaries are `Arc`-backed).
-    summary_cache: Vec<Option<S::Summary>>,
-    /// The engine clock the cached summaries were advanced to; a moved
-    /// clock invalidates them for time-sensitive sampler families.
-    snapshot_stamp: Option<Stamp>,
-    /// The reduce of the cached per-shard summaries, valid while every
-    /// shard is clean — makes a quiet engine's publication `O(1)`.
-    merged_cache: Option<S::Summary>,
 }
 
-impl std::fmt::Debug for Router {
+impl<S: DistinctSampler> std::fmt::Debug for ShardedEngine<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Router").finish_non_exhaustive()
+        f.debug_struct("ShardedEngine")
+            .field("n_shards", &self.n_shards())
+            .field("batch_size", &self.batch_size)
+            .field("seen", &self.seen)
+            .finish_non_exhaustive()
     }
 }
 
-impl<S: DistinctSampler> std::fmt::Debug for Shard<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("buffered", &self.buf.len())
-            .field("routed", &self.routed)
-            .finish_non_exhaustive()
+impl<S: DistinctSampler> ShardedEngine<S> {
+    /// Number of shards (1 = one sampler run inline, no worker thread).
+    pub fn n_shards(&self) -> usize {
+        match &self.shards {
+            Shards::Inline(_) => 1,
+            Shards::Workers(w) => w.shards.len(),
+        }
     }
 }
 
@@ -192,11 +424,12 @@ where
     S: DistinctSampler + Send + 'static,
     S::Summary: Send + 'static,
 {
-    /// Spawns `n_shards` workers whose samplers come from `make` (called
-    /// once per shard, in shard order). Every sampler **must** be built
-    /// from the same configuration as `cfg` — identical grid and hash are
-    /// what make the summary merge sound; `cfg` itself only drives the
-    /// router.
+    /// Builds an `n_shards`-shard engine whose samplers come from `make`
+    /// (called once per shard, in shard order): one worker thread per
+    /// shard, or — for `n_shards == 1` — the one sampler run inline on
+    /// the caller's thread. Every sampler **must** be built from the same
+    /// configuration as `cfg` — identical grid and hash are what make the
+    /// summary merge sound; `cfg` itself only drives the router.
     ///
     /// # Errors
     ///
@@ -208,63 +441,34 @@ where
         mut make: impl FnMut(usize) -> S,
     ) -> Result<Self, RdsError> {
         cfg.validate()?;
-        if n_shards == 0 {
-            return Err(RdsError::InvalidShards);
-        }
-        let router = Router::new(cfg);
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut handles = Vec::with_capacity(n_shards);
-        for i in 0..n_shards {
-            let (tx, rx) = mpsc::channel::<Cmd<S>>();
-            let mut sampler = make(i);
-            let handle = std::thread::spawn(move || {
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Cmd::Batch(batch) => {
-                            sampler.process_batch(&batch);
-                        }
-                        Cmd::Snapshot(reply, now) => {
-                            sampler.advance(now);
-                            // receiver may have given up; ignore
-                            let _ = reply.send(sampler.summary_cow());
-                        }
-                        Cmd::Inspect(f) => f(&mut sampler),
-                    }
-                }
-                sampler
-            });
-            shards.push(Shard {
-                tx,
-                buf: Vec::with_capacity(DEFAULT_BATCH_SIZE),
-                routed: 0,
-                dirty: true,
-            });
-            handles.push(handle);
-        }
-        let summary_cache = (0..n_shards).map(|_| None).collect();
+        let shards = match n_shards {
+            0 => return Err(RdsError::InvalidShards),
+            1 => Shards::Inline(make(0)),
+            n => Shards::Workers(Workers::spawn(cfg, n, make)),
+        };
         Ok(Self {
             cfg: cfg.clone(),
-            router,
             shards,
-            handles,
             batch_size: DEFAULT_BATCH_SIZE,
             seen: 0,
             last_stamp: Stamp::at(0),
             draws: 0,
-            summary_cache,
-            snapshot_stamp: None,
-            merged_cache: None,
         })
     }
 
     /// Sets the number of items buffered per shard before a batch is
-    /// shipped to the worker.
+    /// shipped to the worker (a one-shard engine feeds
+    /// [`Self::ingest_batch`] to its sampler in chunks of this size).
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size == 0`.
+    /// Panics if `batch_size == 0` or `batch_size > MAX_BATCH_SIZE`.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size >= 1, "batch size must be at least 1");
+        assert!(
+            batch_size <= MAX_BATCH_SIZE,
+            "batch size must be at most {MAX_BATCH_SIZE}"
+        );
         self.batch_size = batch_size;
         self
     }
@@ -279,61 +483,62 @@ where
     }
 
     /// Routes one stamped item to its shard, shipping that shard's buffer
-    /// when it reaches the batch size. Stamps must be non-decreasing;
-    /// they carry the *global* clock, so each shard's window expiry
-    /// agrees with the unsharded sampler's.
+    /// when it reaches the batch size (a one-shard engine processes the
+    /// item at once). Stamps must be non-decreasing; they carry the
+    /// *global* clock, so each shard's window expiry agrees with the
+    /// unsharded sampler's.
     pub fn ingest_item(&mut self, item: StreamItem) {
         self.seen += 1;
         // max, not assign: an `advance` past the stream's own stamps must
         // not be rewound by a later item (stamps are non-decreasing, so
         // for plain streams this is the same assignment as before).
         self.last_stamp = self.last_stamp.max(item.stamp);
-        let s = self.router.shard_of(&item.point, self.shards.len());
-        let shard = &mut self.shards[s];
-        shard.routed += 1;
-        shard.buf.push(item);
-        if shard.buf.len() >= self.batch_size {
-            let batch = std::mem::replace(&mut shard.buf, Vec::with_capacity(self.batch_size));
-            shard.dirty = true;
-            shard
-                .tx
-                .send(Cmd::Batch(batch))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked; propagating that
-                // panic here is the only sound response
-                .expect("shard worker terminated");
+        match &mut self.shards {
+            Shards::Inline(sampler) => {
+                sampler.process(&item);
+            }
+            Shards::Workers(w) => w.route(item, self.batch_size),
         }
     }
 
-    /// Ingests every point of an iterator, one [`Self::ingest`] call per
-    /// point (stamped with the engine's arrival counter). The iterator
-    /// yields plain [`Point`]s — if your input is already chunked (e.g.
-    /// from [`rds_stream::batched`]), flatten it first; the engine does
-    /// its own per-shard batching regardless, so pre-chunking buys
-    /// nothing.
+    /// Ingests every point of an iterator, stamped with the engine's
+    /// arrival counter: one [`Self::ingest`] call per point on a sharded
+    /// engine, which batches per shard itself; chunks of the batch size
+    /// through [`DistinctSampler::process_batch`] on a one-shard engine.
+    /// The iterator yields plain [`Point`]s — if your input is already
+    /// chunked (e.g. from [`rds_stream::batched`]), flatten it first.
     pub fn ingest_batch<I>(&mut self, points: I)
     where
         I: IntoIterator<Item = Point>,
     {
-        for p in points {
-            self.ingest(p);
+        let Shards::Inline(sampler) = &mut self.shards else {
+            for p in points {
+                self.ingest(p);
+            }
+            return;
+        };
+        let mut points = points.into_iter();
+        let mut chunk = Vec::with_capacity(self.batch_size);
+        loop {
+            chunk.clear();
+            for p in points.by_ref().take(self.batch_size) {
+                let stamp = Stamp::at(self.seen);
+                self.seen += 1;
+                self.last_stamp = self.last_stamp.max(stamp);
+                chunk.push(StreamItem::new(p, stamp));
+            }
+            if chunk.is_empty() {
+                return;
+            }
+            sampler.process_batch(&chunk);
         }
     }
 
-    /// Ships every partially filled shard buffer to its worker.
+    /// Ships every partially filled shard buffer to its worker (a no-op
+    /// for a one-shard engine, which buffers nothing).
     pub fn flush(&mut self) {
-        for shard in &mut self.shards {
-            if !shard.buf.is_empty() {
-                let batch =
-                    std::mem::replace(&mut shard.buf, Vec::with_capacity(self.batch_size));
-                shard.dirty = true;
-                shard
-                    .tx
-                    .send(Cmd::Batch(batch))
-                    // lint:allow(L1) a send fails only when the worker
-                    // hung up, which means it already panicked
-                    .expect("shard worker terminated");
-            }
+        if let Shards::Workers(w) = &mut self.shards {
+            w.flush(self.batch_size);
         }
     }
 
@@ -358,47 +563,13 @@ where
     where
         S::Summary: Clone,
     {
-        let now = self.last_stamp;
-        let clock_moved = S::TIME_SENSITIVE && self.snapshot_stamp != Some(now);
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            if !shard.dirty && !clock_moved && self.summary_cache[i].is_some() {
-                pending.push(None);
-                continue;
+        match &mut self.shards {
+            Shards::Inline(sampler) => {
+                sampler.advance(self.last_stamp);
+                vec![sampler.summary_cow()]
             }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .tx
-                .send(Cmd::Snapshot(reply_tx, now))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked
-                .expect("shard worker terminated");
-            pending.push(Some(reply_rx));
+            Shards::Workers(w) => w.summaries(self.last_stamp),
         }
-        self.snapshot_stamp = Some(now);
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (i, rx) in pending.into_iter().enumerate() {
-            let summary = match rx {
-                Some(rx) => {
-                    // lint:allow(L1) recv fails only when the worker
-                    // dropped the reply sender mid-request, i.e. it
-                    // panicked
-                    let s = rx.recv().expect("shard worker terminated");
-                    self.summary_cache[i] = Some(s.clone());
-                    self.shards[i].dirty = false;
-                    self.merged_cache = None;
-                    s
-                }
-                None => match &self.summary_cache[i] {
-                    Some(cached) => cached.clone(),
-                    // lint:allow(L1) unreachable: a shard is only skipped
-                    // when its cache slot is occupied (checked above)
-                    None => unreachable!("skipped shard has a cached summary"),
-                },
-            };
-            out.push(summary);
-        }
-        out
     }
 
     /// Merges the current shard states into one summary — the
@@ -406,20 +577,19 @@ where
     /// with the summary merge). Unlike [`Self::finish`], the engine keeps
     /// running; unlike the pre-split API, nothing is flushed implicitly:
     /// items still buffered in this handle are *not* covered until
-    /// [`Self::flush`] ships them.
+    /// [`Self::flush`] ships them. A one-shard engine returns its
+    /// sampler's own copy-on-write summary, unmerged.
     pub fn snapshot(&mut self) -> S::Summary
     where
         S::Summary: Clone,
     {
-        let summaries = self.shard_summaries();
-        if let Some(cached) = &self.merged_cache {
-            // Every shard was served from cache, so the previous reduce
-            // is still exact — a quiet engine publishes in O(1).
-            return cached.clone();
+        match &mut self.shards {
+            Shards::Inline(sampler) => {
+                sampler.advance(self.last_stamp);
+                sampler.summary_cow()
+            }
+            Shards::Workers(w) => w.snapshot(self.last_stamp),
         }
-        let merged = Self::reduce(summaries);
-        self.merged_cache = Some(merged.clone());
-        merged
     }
 
     /// The merged robust F0 estimate over the union of the shards (over
@@ -452,12 +622,16 @@ where
         self.snapshot().query_k(k, self.draws)
     }
 
-    /// Advances the engine clock to `now` without feeding an item: the
-    /// next snapshot expires window entries older than `now` on every
-    /// shard (a no-op for infinite-window samplers). Stamps must be
+    /// Advances the engine clock to `now` without feeding an item: window
+    /// entries older than `now` expire on every shard — at the next
+    /// snapshot for a sharded engine, at once for a one-shard engine (a
+    /// no-op for infinite-window samplers). Stamps must be
     /// non-decreasing; an older `now` is ignored.
     pub fn advance(&mut self, now: Stamp) {
         self.last_stamp = self.last_stamp.max(now);
+        if let Shards::Inline(sampler) = &mut self.shards {
+            sampler.advance(self.last_stamp);
+        }
     }
 
     /// Shuts the workers down and merges their final states, moving (not
@@ -465,44 +639,20 @@ where
     /// every ingested item: it flushes the batch buffers before joining
     /// the workers ([`Self::snapshot`], by contrast, is the non-draining
     /// mid-stream publication path).
-    pub fn finish(mut self) -> S::Summary {
-        self.flush();
+    pub fn finish(self) -> S::Summary {
         let now = self.last_stamp;
-        // Dropping the senders ends each worker's receive loop.
-        let handles = std::mem::take(&mut self.handles);
-        self.shards.clear();
-        let summaries: Vec<S::Summary> = handles
-            .into_iter()
-            .map(|h| {
-                // lint:allow(L1) join returns Err only when the worker
-                // panicked; re-raising that panic on the caller is the
-                // documented contract of finish
-                let mut sampler = h.join().expect("shard worker panicked");
+        match self.shards {
+            Shards::Inline(mut sampler) => {
                 sampler.advance(now);
                 sampler.into_summary()
-            })
-            .collect();
-        Self::reduce(summaries)
-    }
-
-    fn reduce(summaries: Vec<S::Summary>) -> S::Summary {
-        S::Summary::merge_many(summaries)
-            // lint:allow(L1) every shard sampler is built from the one
-            // validated engine config, so the merge cannot mismatch
-            .expect("shards share one configuration by construction")
-            // lint:allow(L1) try_new rejects zero shards, so the summary
-            // vec is never empty
-            .expect("engine has at least one shard")
+            }
+            Shards::Workers(w) => reduce::<S>(w.finish(self.batch_size, now)),
+        }
     }
 
     /// Number of items ingested so far (including still-buffered ones).
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Number of worker shards.
-    pub fn n_shards(&self) -> usize {
-        self.handles.len()
     }
 
     /// The batch size in force.
@@ -513,7 +663,10 @@ where
     /// How many items were routed to each shard — diagnostic view of the
     /// partition balance.
     pub fn shard_loads(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.routed).collect()
+        match &self.shards {
+            Shards::Inline(_) => vec![self.seen],
+            Shards::Workers(w) => w.shards.iter().map(|s| s.routed).collect(),
+        }
     }
 
     /// The shared configuration the shards (and the router) were built
@@ -540,31 +693,10 @@ where
     /// [`Self::ingest`]/[`Self::ingest_item`]. The workers keep running;
     /// checkpointing is non-destructive.
     pub fn checkpoint(&mut self) -> EngineCheckpoint<S::State> {
-        self.flush();
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            // The closure gets `&mut` access to the sampler; assume it
-            // mutated (checkpoint capture does not, but correctness over
-            // cleverness for the escape hatch).
-            shard.dirty = true;
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .tx
-                .send(Cmd::Inspect(Box::new(move |sampler: &mut S| {
-                    // receiver may have given up; ignore
-                    let _ = reply_tx.send(sampler.checkpoint_state());
-                })))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked
-                .expect("shard worker terminated");
-            pending.push(reply_rx);
-        }
-        let states = pending
-            .into_iter()
-            // lint:allow(L1) recv fails only when the worker dropped the
-            // reply sender mid-request, i.e. it panicked
-            .map(|rx| rx.recv().expect("shard worker terminated"))
-            .collect();
+        let states = match &mut self.shards {
+            Shards::Inline(sampler) => vec![sampler.checkpoint_state()],
+            Shards::Workers(w) => w.inspect(self.batch_size, S::checkpoint_state),
+        };
         EngineCheckpoint {
             cfg: self.cfg.clone(),
             batch_size: self.batch_size,
@@ -583,31 +715,10 @@ where
     /// FIFO behind every in-flight batch, so the figure covers every
     /// ingested item.
     pub fn words(&mut self) -> usize {
-        self.flush();
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            // The closure gets `&mut` access to the sampler; assume it
-            // mutated (a words() read does not, but correctness over
-            // cleverness for the escape hatch).
-            shard.dirty = true;
-            let (reply_tx, reply_rx) = mpsc::channel();
-            shard
-                .tx
-                .send(Cmd::Inspect(Box::new(move |sampler: &mut S| {
-                    // receiver may have given up; ignore
-                    let _ = reply_tx.send(sampler.words());
-                })))
-                // lint:allow(L1) a send fails only when the worker hung
-                // up, which means it already panicked
-                .expect("shard worker terminated");
-            pending.push(reply_rx);
+        match &mut self.shards {
+            Shards::Inline(sampler) => sampler.words(),
+            Shards::Workers(w) => w.inspect(self.batch_size, S::words).into_iter().sum(),
         }
-        pending
-            .into_iter()
-            // lint:allow(L1) recv fails only when the worker dropped the
-            // reply sender mid-request, i.e. it panicked
-            .map(|rx| rx.recv().expect("shard worker terminated"))
-            .sum()
     }
 
     /// Rebuilds an engine from a checkpoint: restores every shard's
@@ -619,9 +730,10 @@ where
     /// # Errors
     ///
     /// [`RdsError::Checkpoint`] when the checkpoint is internally
-    /// inconsistent (no shards, zero batch size, shard state that does
-    /// not match the shared configuration), or any restore error of the
-    /// per-shard [`Checkpointable::try_from_state`].
+    /// inconsistent (no shards, a batch size of zero or above
+    /// [`MAX_BATCH_SIZE`], shard state that does not match the shared
+    /// configuration), or any restore error of the per-shard
+    /// [`Checkpointable::try_from_state`].
     pub fn try_restore(chk: EngineCheckpoint<S::State>) -> Result<Self, RdsError> {
         let n_shards = chk.states.len();
         if n_shards == 0 {
@@ -629,10 +741,11 @@ where
                 "engine checkpoint holds no shard states",
             ));
         }
-        if chk.batch_size == 0 {
-            return Err(RdsError::checkpoint(
-                "engine checkpoint has a zero batch size",
-            ));
+        if !(1..=MAX_BATCH_SIZE).contains(&chk.batch_size) {
+            return Err(RdsError::checkpoint(format!(
+                "engine checkpoint batch size {} is outside 1..={MAX_BATCH_SIZE}",
+                chk.batch_size
+            )));
         }
         if chk.routed.len() != n_shards {
             return Err(RdsError::checkpoint(format!(
@@ -683,8 +796,10 @@ where
         engine.seen = chk.seen;
         engine.last_stamp = chk.last_stamp;
         engine.draws = chk.draws;
-        for (shard, routed) in engine.shards.iter_mut().zip(chk.routed) {
-            shard.routed = routed;
+        if let Shards::Workers(w) = &mut engine.shards {
+            for (shard, routed) in w.shards.iter_mut().zip(chk.routed) {
+                shard.routed = routed;
+            }
         }
         Ok(engine)
     }
@@ -710,12 +825,37 @@ pub struct EngineCheckpoint<St> {
 }
 
 impl<St> EngineCheckpoint<St> {
+    /// The checkpoint of a one-shard engine over `state` that has
+    /// ingested `seen` items with its clock at `last_stamp` — how a
+    /// caller that persisted the bare sampler state resumes it as an
+    /// engine. The batch size is the default.
+    pub fn single(cfg: SamplerConfig, state: St, seen: u64, last_stamp: Stamp) -> Self {
+        Self {
+            cfg,
+            batch_size: DEFAULT_BATCH_SIZE,
+            seen,
+            last_stamp,
+            draws: 0,
+            states: vec![state],
+            routed: vec![seen],
+        }
+    }
+
+    /// The lone shard state of a one-shard checkpoint, or the checkpoint
+    /// itself back when it covers several shards.
+    pub fn into_single(mut self) -> Result<St, Box<Self>> {
+        match self.states.len() {
+            1 => self.states.pop().ok_or_else(|| Box::new(self)),
+            _ => Err(Box::new(self)),
+        }
+    }
+
     /// The shared configuration the checkpointed engine was built from.
     pub fn config(&self) -> &SamplerConfig {
         &self.cfg
     }
 
-    /// The number of worker shards the checkpoint covers.
+    /// The number of shards the checkpoint covers.
     pub fn n_shards(&self) -> usize {
         self.states.len()
     }
@@ -767,9 +907,9 @@ impl<St: Deserialize> Deserialize for EngineCheckpoint<St> {
 }
 
 impl ShardedEngine<RobustL0Sampler> {
-    /// Spawns `n_shards` worker threads, each with a fresh
-    /// infinite-window site sampler of the shared configuration
-    /// (Algorithm 1's default threshold).
+    /// Builds `n_shards` fresh infinite-window site samplers of the
+    /// shared configuration (Algorithm 1's default threshold), one worker
+    /// thread each — or one sampler inline for `n_shards == 1`.
     ///
     /// # Errors
     ///
@@ -805,9 +945,10 @@ impl ShardedEngine<RobustL0Sampler> {
 }
 
 impl ShardedEngine<SlidingWindowSampler> {
-    /// Spawns `n_shards` workers, each with a fresh [`SlidingWindowSampler`]
-    /// over `window` sharing the configuration. Items must be ingested
-    /// through [`Self::ingest_item`] with their global stamps (or
+    /// Builds `n_shards` fresh [`SlidingWindowSampler`]s over `window`
+    /// sharing the configuration, one worker thread each — or one
+    /// sampler inline for `n_shards == 1`. Items must be ingested through
+    /// [`Self::ingest_item`] with their global stamps (or
     /// [`Self::ingest`], which stamps by arrival index).
     ///
     /// # Errors
@@ -855,18 +996,6 @@ impl ShardedEngine<SlidingWindowSampler> {
                 // the probe construction just above
                 .expect("window, threshold and configuration validated above")
         })
-    }
-}
-
-impl<S: DistinctSampler> Drop for ShardedEngine<S> {
-    fn drop(&mut self) {
-        // Close the channels so the workers exit their loops, then wait
-        // for them; buffered items are discarded (call `finish` to keep
-        // them).
-        self.shards.clear();
-        for h in std::mem::take(&mut self.handles) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -1001,33 +1130,90 @@ mod tests {
         }
     }
 
+    fn state_json<St: Serialize>(state: &St) -> String {
+        serde_json::to_string(state).expect("state serializes")
+    }
+
     #[test]
     fn one_shard_degenerates_to_a_single_site() {
-        // With one shard the engine is a plain sampler behind a channel.
+        // One shard is the bare sampler run inline: no worker thread, and
+        // after the same stream its full state serializes to the same
+        // bytes — per item, and per batch (where `peak_words` depends on
+        // the chunk boundaries). 120 groups force rate doublings.
+        let points: Vec<Point> = (0..600u64).map(|i| grouped_point(i, 120)).collect();
         let mut single = RobustL0Sampler::try_new(cfg(7)).unwrap();
-        let mut engine = ShardedEngine::try_new(cfg(7), 1).unwrap().with_batch_size(10);
-        for i in 0..300u64 {
-            let p = grouped_point(i, 24);
-            single.process(&p);
-            engine.ingest(p);
+        let mut engine = ShardedEngine::try_new(cfg(7), 1).unwrap();
+        assert!(
+            matches!(engine.shards, Shards::Inline(_)),
+            "one shard spawns no worker"
+        );
+        for p in &points {
+            single.process(p);
+            engine.ingest(p.clone());
         }
-        let merged = engine.finish();
-        assert_eq!(merged.f0_estimate(), single.f0_estimate());
-        assert_eq!(merged.accept_set().len(), single.accept_set().len());
+        assert_eq!(
+            state_json(&engine.checkpoint().states()[0]),
+            state_json(&single.checkpoint_state())
+        );
+
+        let mut single = RobustL0Sampler::try_new(cfg(7)).unwrap();
+        let mut engine = ShardedEngine::try_new(cfg(7), 1)
+            .unwrap()
+            .with_batch_size(64);
+        for chunk in points.chunks(64) {
+            single.process_batch(chunk);
+        }
+        engine.ingest_batch(points);
+        assert_eq!(
+            state_json(&engine.checkpoint().states()[0]),
+            state_json(&single.checkpoint_state())
+        );
+        assert_eq!(engine.finish().f0_estimate(), single.f0_estimate());
+    }
+
+    #[test]
+    fn one_window_shard_degenerates_to_a_bare_window_sampler() {
+        // The same for Algorithm 3, with a clock advance in the middle of
+        // the stream: it applies at once, as on the bare sampler.
+        let window = Window::Time(16);
+        let mut single = SlidingWindowSampler::try_new(cfg(12), window).unwrap();
+        let mut engine = ShardedEngine::try_sliding_window(cfg(12), window, 1).unwrap();
+        for i in 0..200u64 {
+            let item = StreamItem::new(grouped_point(i, 40), Stamp::new(i, i / 4));
+            single.process(&item);
+            engine.ingest_item(item);
+        }
+        DistinctSampler::advance(&mut single, Stamp::new(200, 60));
+        engine.advance(Stamp::new(200, 60));
+        assert_eq!(
+            state_json(&engine.checkpoint().states()[0]),
+            state_json(&single.checkpoint_state())
+        );
+        let items: Vec<StreamItem> = (200..700u64)
+            .map(|i| StreamItem::new(grouped_point(i, 40), Stamp::at(i)))
+            .collect();
+        for chunk in items.chunks(DEFAULT_BATCH_SIZE) {
+            single.process_batch(chunk);
+        }
+        engine.ingest_batch(items.into_iter().map(|item| item.point));
+        assert_eq!(
+            state_json(&engine.checkpoint().states()[0]),
+            state_json(&single.checkpoint_state())
+        );
     }
 
     #[test]
     fn routing_is_entity_affine() {
         // Near-duplicates of one entity overwhelmingly route to one shard:
         // the load of the busiest shard per entity must be most of it.
-        let mut engine = ShardedEngine::try_new(cfg(8), 4).unwrap();
+        let mut router = Router::new(&cfg(8));
         let mut split_entities = 0u32;
         let n_entities = 64u64;
         for e in 0..n_entities {
             let mut shards_hit = std::collections::BTreeSet::new();
             for j in 0..8u64 {
                 let p = Point::new(vec![e as f64 * 10.0 + 0.01 * (j % 5) as f64]);
-                shards_hit.insert(engine.router.shard_of(&p, 4));
+                shards_hit.insert(router.shard_of(&p, 4));
             }
             if shards_hit.len() > 1 {
                 split_entities += 1;
@@ -1158,6 +1344,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "batch size must be at most")]
+    fn oversized_batch_size_rejected() {
+        let _ = ShardedEngine::try_new(cfg(10), 2)
+            .unwrap()
+            .with_batch_size(MAX_BATCH_SIZE + 1);
+    }
+
+    #[test]
     fn checkpoint_restore_continues_bit_identically() {
         // The engine-level crash-recovery contract: checkpoint → drop →
         // restore → continue must equal an uninterrupted run exactly.
@@ -1240,12 +1434,16 @@ mod tests {
             ShardedEngine::<RobustL0Sampler>::try_restore(empty),
             Err(RdsError::Checkpoint { .. })
         ));
-        let mut zero_batch = chk.clone();
-        zero_batch.batch_size = 0;
-        assert!(matches!(
-            ShardedEngine::<RobustL0Sampler>::try_restore(zero_batch),
-            Err(RdsError::Checkpoint { .. })
-        ));
+        // a zero batch size, and one whose preallocated buffers would
+        // abort the process
+        for batch_size in [0, MAX_BATCH_SIZE + 1, 1 << 40] {
+            let mut forged = chk.clone();
+            forged.batch_size = batch_size;
+            assert!(matches!(
+                ShardedEngine::<RobustL0Sampler>::try_restore(forged),
+                Err(RdsError::Checkpoint { .. })
+            ));
+        }
         let mut lopsided = chk;
         lopsided.routed.pop();
         assert!(matches!(

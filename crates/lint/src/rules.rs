@@ -97,6 +97,11 @@ pub const BLESSED_WRITE_MODULE: &str = "crates/core/src/persist.rs";
 /// module defining `RdsError::checkpoint()`.
 pub const BLESSED_CHECKPOINT_MODULE: &str = "crates/core/src/error.rs";
 
+/// The file holding the facade's publication path (`fn freeze`,
+/// `RdsWriter::publish`): L6 reports it when either body is missing, so
+/// renaming or moving them cannot silently switch the rule off.
+pub const PUBLICATION_MODULE: &str = "src/facade.rs";
+
 /// Types whose impl blocks are frozen read paths: readers query them
 /// concurrently with `&self`, so they must never acquire a lock.
 const LOCK_FREE_READ_TYPES: &[&str] = &[
@@ -105,7 +110,6 @@ const LOCK_FREE_READ_TYPES: &[&str] = &[
     "WindowSummary",
     "MetricSummary",
     "JlSummary",
-    "SiteSummary",
 ];
 
 /// Identifier substrings marking clock/accounting values whose silent
@@ -347,11 +351,15 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     fn emit(&mut self, rule: &'static str, at: &Token, message: String) {
+        self.emit_at(rule, at.line, at.col, message);
+    }
+
+    fn emit_at(&mut self, rule: &'static str, line: u32, col: u32, message: String) {
         self.findings.push(Finding {
             rule,
             path: self.path.to_string(),
-            line: at.line,
-            col: at.col,
+            line,
+            col,
             message,
         });
     }
@@ -897,9 +905,11 @@ fn l6_scan_range(ctx: &mut Ctx<'_>, lo: usize, hi: usize, site: &str, summary_cl
 }
 
 /// Scans the body of every `fn {name}` between `lo` and `hi` with the
-/// publication-path checks (locks *and* full-summary clones).
-fn l6_scan_fn_bodies(ctx: &mut Ctx<'_>, lo: usize, hi: usize, name: &str, site: &str) {
+/// publication-path checks (locks *and* full-summary clones); returns how
+/// many bodies it scanned.
+fn l6_scan_fn_bodies(ctx: &mut Ctx<'_>, lo: usize, hi: usize, name: &str, site: &str) -> usize {
     let toks = ctx.tokens;
+    let mut scanned = 0;
     let mut i = lo;
     while i + 1 < hi.min(toks.len()) {
         if !(toks[i].is_ident("fn") && toks[i + 1].is_ident(name)) {
@@ -923,8 +933,10 @@ fn l6_scan_fn_bodies(ctx: &mut Ctx<'_>, lo: usize, hi: usize, name: &str, site: 
         };
         let close = matching(toks, open, "{", "}");
         l6_scan_range(ctx, open, close, site, true);
+        scanned += 1;
         i = close + 1;
     }
+    scanned
 }
 
 /// L6: lock-free publication contract — no lock types or acquisition
@@ -933,11 +945,15 @@ fn l6_scan_fn_bodies(ctx: &mut Ctx<'_>, lo: usize, hi: usize, name: &str, site: 
 /// acquisition *or full-summary `.clone()`* inside the copy-on-write
 /// publication path (`fn freeze`, `RdsWriter::publish`,
 /// `SnapshotCell`): publication must stay O(changes) + one atomic swap.
+/// In [`PUBLICATION_MODULE`], a missing `fn freeze` or
+/// `RdsWriter::publish` body is itself a finding.
 fn rule_l6(ctx: &mut Ctx<'_>) {
     let toks = ctx.tokens;
-    // Free-standing `fn freeze` anywhere in the file (the facade's
-    // snapshot builder) gets the full publication-path scan.
-    l6_scan_fn_bodies(ctx, 0, toks.len(), "freeze", "fn freeze");
+    // Every `fn freeze` body anywhere in the file (the facade's snapshot
+    // builder, a method of its engine backend) gets the full
+    // publication-path scan.
+    let freeze_bodies = l6_scan_fn_bodies(ctx, 0, toks.len(), "freeze", "fn freeze");
+    let mut publish_bodies = 0;
     let mut i = 0usize;
     while i < toks.len() {
         if !toks[i].is_ident("impl") {
@@ -1004,7 +1020,8 @@ fn rule_l6(ctx: &mut Ctx<'_>) {
             // The writer's publish path: only `fn publish` bodies are
             // publication; other writer methods may lock freely.
             Some("RdsWriter") => {
-                l6_scan_fn_bodies(ctx, open, close, "publish", "RdsWriter::publish");
+                publish_bodies +=
+                    l6_scan_fn_bodies(ctx, open, close, "publish", "RdsWriter::publish");
             }
             // Frozen reader types: readers query them concurrently with
             // `&self`, so no lock is ever acquired (clones are fine —
@@ -1016,6 +1033,26 @@ fn rule_l6(ctx: &mut Ctx<'_>) {
             _ => {}
         }
         i = close + 1;
+    }
+    if ctx.path == PUBLICATION_MODULE {
+        let bodies = [
+            (freeze_bodies, "`fn freeze`"),
+            (publish_bodies, "`RdsWriter::publish`"),
+        ];
+        for (bodies, site) in bodies {
+            if bodies == 0 {
+                ctx.emit_at(
+                    "L6",
+                    1,
+                    1,
+                    format!(
+                        "{PUBLICATION_MODULE} has no {site} body: the publication path \
+                         was renamed or moved, so L6 would scan nothing — point the rule \
+                         at its new home"
+                    ),
+                );
+            }
+        }
     }
 }
 

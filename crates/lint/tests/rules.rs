@@ -115,6 +115,24 @@ fn l6_flags_locks_in_frozen_impls_and_the_publication_path() {
 }
 
 #[test]
+fn l6_reports_a_facade_without_a_publication_path_to_scan() {
+    // the facade must hold both publication-path bodies; a missing one is
+    // reported at the top of the file
+    let f = scan_as("l6_missing_publication_path.rs", "src/facade.rs");
+    assert_eq!(lines_of(&f, "L6"), vec![1], "{f:?}");
+    assert!(f[0].message.contains("fn freeze"), "{f:?}");
+    // guards: the same file elsewhere in the workspace is not the facade,
+    // and a facade with both bodies draws only its ordinary findings
+    assert!(scan_as("l6_missing_publication_path.rs", CORE_PATH).is_empty());
+    let f = scan_as("l6_cases.rs", "src/facade.rs");
+    assert_eq!(
+        lines_of(&f, "L6"),
+        vec![11, 25, 26, 52, 53, 59, 65, 74],
+        "{f:?}"
+    );
+}
+
+#[test]
 fn l7_flags_narrowing_casts_of_protected_names_only() {
     let f = scan_as("l7_cases.rs", CORE_PATH);
     assert_eq!(lines_of(&f, "L7"), vec![4, 8, 12, 16], "{f:?}");

@@ -3,10 +3,11 @@
 //!
 //! [`Rds::builder`] collects the problem parameters — dimension, the
 //! near-duplicate threshold `alpha`, the window model, the shard count —
-//! and assembles the backend: a single in-process sampler for
-//! `shards == 1`, the sharded engine otherwise; the infinite-window
-//! sampler for [`Window::Infinite`], the sliding-window hierarchy for a
-//! bounded window.
+//! and assembles the backend: one [`ShardedEngine`] over the
+//! infinite-window sampler for [`Window::Infinite`], or over the
+//! sliding-window hierarchy for a bounded window. With `shards == 1`
+//! (the default) the engine runs its one sampler inline on the writer's
+//! thread — no worker thread, no channel.
 //!
 //! Two construction paths share that backend:
 //!
@@ -40,7 +41,8 @@
 
 use rds_core::{
     Checkpointable, DistinctSampler, GroupRecord, MergedSummary, RdsError, RobustL0Sampler,
-    SamplerConfig, SamplerSummary, SlidingWindowSampler, WindowSummary, DEFAULT_KAPPA_B,
+    RobustL0State, SamplerConfig, SamplerSummary, SlidingWindowSampler, SlidingWindowState,
+    WindowSummary, DEFAULT_KAPPA_B,
 };
 use rds_engine::{EngineCheckpoint, ShardedEngine};
 use rds_geometry::Point;
@@ -50,18 +52,67 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which concrete pipeline serves the writer. One variant per
-/// (window, sharding) combination; all four speak [`DistinctSampler`] /
-/// the engine's merged-summary API.
-enum Backend {
-    /// `shards == 1`, infinite window: Algorithm 1 in-process.
-    Single(Box<RobustL0Sampler>),
-    /// `shards == 1`, bounded window: Algorithm 3 in-process.
-    Window(Box<SlidingWindowSampler>),
-    /// `shards > 1`, infinite window.
-    Engine(ShardedEngine<RobustL0Sampler>),
-    /// `shards > 1`, bounded window.
-    WindowEngine(ShardedEngine<SlidingWindowSampler>),
+/// The pipeline that serves the writer: one [`ShardedEngine`] per sampler
+/// family — Algorithm 1 ([`RobustL0Sampler`]) for the infinite window,
+/// Algorithm 3 ([`SlidingWindowSampler`]) for a bounded one — erased to
+/// what the writer needs. Any shard count, one shard running inline.
+trait Backend: Send {
+    fn ingest_item(&mut self, item: StreamItem);
+    /// Feeds points stamped by arrival index (batched for one shard).
+    fn ingest_batch(&mut self, points: &mut dyn Iterator<Item = Point>);
+    fn advance(&mut self, now: Stamp);
+    /// Extracts the current state as a frozen snapshot summary.
+    fn freeze(&mut self) -> SnapshotSummary;
+    fn words(&mut self) -> usize;
+    fn checkpoint(&mut self) -> BackendState;
+    fn config(&self) -> &SamplerConfig;
+}
+
+impl<S> Backend for ShardedEngine<S>
+where
+    S: DistinctSampler + Checkpointable + Send + 'static,
+    S::Summary: Clone + Send + Into<SnapshotSummary> + 'static,
+    EngineCheckpoint<S::State>: Into<BackendState>,
+{
+    fn ingest_item(&mut self, item: StreamItem) {
+        ShardedEngine::ingest_item(self, item);
+    }
+
+    fn ingest_batch(&mut self, points: &mut dyn Iterator<Item = Point>) {
+        ShardedEngine::ingest_batch(self, points);
+    }
+
+    fn advance(&mut self, now: Stamp) {
+        ShardedEngine::advance(self, now);
+    }
+
+    /// The one summary-extraction path shared by [`RdsWriter::publish`],
+    /// the epoch-0 snapshot of [`RdsBuilder::build_split`] and the warm
+    /// snapshot of a restore. The flush makes the snapshot cover every
+    /// ingested item, and window shards are advanced to the engine clock
+    /// so quiet streams still expire. Copy-on-write: the engine reuses
+    /// clean shards' summaries and every sampler's
+    /// [`DistinctSampler::summary_cow`] `Arc`-shares the candidate sets
+    /// untouched since the previous snapshot — publication cost is
+    /// proportional to what changed, not to state size (and no
+    /// full-summary clone or lock acquisition happens here; rds-lint rule
+    /// L6 enforces that invariant).
+    fn freeze(&mut self) -> SnapshotSummary {
+        self.flush();
+        self.snapshot().into()
+    }
+
+    fn words(&mut self) -> usize {
+        ShardedEngine::words(self)
+    }
+
+    fn checkpoint(&mut self) -> BackendState {
+        ShardedEngine::checkpoint(self).into()
+    }
+
+    fn config(&self) -> &SamplerConfig {
+        ShardedEngine::config(self)
+    }
 }
 
 /// The summary a snapshot freezes: merged infinite-window state or pooled
@@ -70,6 +121,18 @@ enum Backend {
 enum SnapshotSummary {
     Infinite(MergedSummary),
     Window(WindowSummary),
+}
+
+impl From<MergedSummary> for SnapshotSummary {
+    fn from(summary: MergedSummary) -> Self {
+        SnapshotSummary::Infinite(summary)
+    }
+}
+
+impl From<WindowSummary> for SnapshotSummary {
+    fn from(summary: WindowSummary) -> Self {
+        SnapshotSummary::Window(summary)
+    }
 }
 
 // The vendored serde derive handles only named-field structs; the enum
@@ -200,35 +263,6 @@ impl SnapshotCell {
     }
 }
 
-/// Extracts the backend's current state as a frozen snapshot summary —
-/// the one summary-extraction path shared by [`RdsWriter::publish`] and
-/// the epoch-0 snapshot of [`RdsBuilder::build_split`]. Window backends
-/// are advanced to `now` first so quiet streams still expire; engine
-/// backends flush so the snapshot covers every ingested item.
-/// Copy-on-write: every path delegates to the backend's
-/// [`DistinctSampler::summary_cow`] machinery, which `Arc`-shares the
-/// candidate sets of everything untouched since the previous snapshot —
-/// publication cost is proportional to what changed, not to state size
-/// (and no full-summary clone or lock acquisition happens here; rds-lint
-/// rule L6 enforces that invariant).
-fn freeze(backend: &mut Backend, now: Stamp) -> SnapshotSummary {
-    match backend {
-        Backend::Single(s) => SnapshotSummary::Infinite(s.summary_cow()),
-        Backend::Window(s) => {
-            DistinctSampler::advance(s.as_mut(), now);
-            SnapshotSummary::Window(s.summary_cow())
-        }
-        Backend::Engine(e) => {
-            e.flush();
-            SnapshotSummary::Infinite(e.snapshot())
-        }
-        Backend::WindowEngine(e) => {
-            e.flush();
-            SnapshotSummary::Window(e.snapshot())
-        }
-    }
-}
-
 /// Local shorthand for [`RdsError::checkpoint`].
 fn checkpoint_err(reason: impl Into<String>) -> RdsError {
     RdsError::checkpoint(reason)
@@ -255,14 +289,33 @@ pub const CHECKPOINT_MAGIC: &str = "rds-checkpoint";
 /// The checkpoint container format version this build writes and reads.
 pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
 
-/// The backend's full state inside a [`WriterCheckpoint`] — one variant
-/// per (window, sharding) combination, mirroring [`Backend`].
+/// The backend's full state inside a [`WriterCheckpoint`]: per sampler
+/// family, the bare sampler state of a one-shard engine (the `"single"`
+/// and `"window"` kinds) or the whole engine checkpoint otherwise.
 #[derive(Clone, Debug)]
 enum BackendState {
-    Single(rds_core::RobustL0State),
-    Window(rds_core::SlidingWindowState),
-    Engine(EngineCheckpoint<rds_core::RobustL0State>),
-    WindowEngine(EngineCheckpoint<rds_core::SlidingWindowState>),
+    Single(RobustL0State),
+    Window(SlidingWindowState),
+    Engine(EngineCheckpoint<RobustL0State>),
+    WindowEngine(EngineCheckpoint<SlidingWindowState>),
+}
+
+impl From<EngineCheckpoint<RobustL0State>> for BackendState {
+    fn from(chk: EngineCheckpoint<RobustL0State>) -> Self {
+        match chk.into_single() {
+            Ok(state) => BackendState::Single(state),
+            Err(chk) => BackendState::Engine(*chk),
+        }
+    }
+}
+
+impl From<EngineCheckpoint<SlidingWindowState>> for BackendState {
+    fn from(chk: EngineCheckpoint<SlidingWindowState>) -> Self {
+        match chk.into_single() {
+            Ok(state) => BackendState::Window(state),
+            Err(chk) => BackendState::WindowEngine(*chk),
+        }
+    }
 }
 
 // The vendored serde derive handles only named-field structs; the enum
@@ -480,7 +533,7 @@ pub const DEFAULT_PUBLISH_EVERY: u64 = 4096;
 /// The writer is deliberately not `Clone`: one thread ingests. Everything
 /// the serving path needs lives in the reader.
 pub struct RdsWriter {
-    backend: Backend,
+    backend: Box<dyn Backend>,
     window: Window,
     shards: usize,
     /// The `count_accuracy` target the pair was built with, echoed into
@@ -525,16 +578,13 @@ impl RdsWriter {
     pub fn process_item(&mut self, item: StreamItem) {
         self.fed += 1;
         self.last_stamp = self.last_stamp.max(item.stamp);
-        match &mut self.backend {
-            Backend::Single(s) => {
-                s.process(&item.point);
-            }
-            Backend::Window(s) => {
-                s.process(&item);
-            }
-            Backend::Engine(e) => e.ingest_item(item),
-            Backend::WindowEngine(e) => e.ingest_item(item),
-        }
+        self.backend.ingest_item(item);
+        self.tick();
+    }
+
+    /// Counts one state-changing event and publishes when an
+    /// [`PublishCadence::EveryN`] cadence falls due.
+    fn tick(&mut self) {
         self.since_publish += 1;
         if let PublishCadence::EveryN(n) = self.cadence {
             if self.since_publish >= n.max(1) {
@@ -550,42 +600,31 @@ impl RdsWriter {
     /// nothing new to publish, and readers comparing epochs would
     /// otherwise see phantom updates).
     ///
-    /// The infinite-window single-process backend forwards the points in
-    /// chunks through the sampler's batched arrival path (one hash sweep
-    /// per chunk instead of one per point) — the resulting sampler state
-    /// is identical to per-point feeding. Under
-    /// [`PublishCadence::EveryN`] the per-point path is kept, because a
-    /// publish may fall due in the middle of a batch.
+    /// With one shard the engine forwards the points in chunks through
+    /// the sampler's batched arrival path (one hash sweep per chunk
+    /// instead of one per point) — the resulting sampler state is
+    /// identical to per-point feeding. Under [`PublishCadence::EveryN`]
+    /// the points are fed one by one, because a publish may fall due in
+    /// the middle of a batch.
     pub fn process_batch<I>(&mut self, points: I)
     where
         I: IntoIterator<Item = Point>,
     {
-        const CHUNK: usize = 256;
         let before = self.fed;
-        let chunkable = matches!(self.backend, Backend::Single(_))
-            && !matches!(self.cadence, PublishCadence::EveryN(_));
-        if chunkable {
-            let mut points = points.into_iter();
-            let mut buf: Vec<Point> = Vec::with_capacity(CHUNK);
-            loop {
-                buf.clear();
-                buf.extend(points.by_ref().take(CHUNK));
-                if buf.is_empty() {
-                    break;
-                }
-                if let Backend::Single(s) = &mut self.backend {
-                    s.process_batch(&buf);
-                }
-                // Same bookkeeping as per-point feeding: arrival-index
-                // stamps are monotone, so only the chunk's last one can
-                // advance the clock.
-                self.fed += buf.len() as u64;
-                self.last_stamp = self.last_stamp.max(Stamp::at(self.fed - 1));
-                self.since_publish += buf.len() as u64;
-            }
-        } else {
+        if let PublishCadence::EveryN(_) = self.cadence {
             for p in points {
                 self.process(p);
+            }
+        } else {
+            let mut fed = 0u64;
+            self.backend
+                .ingest_batch(&mut points.into_iter().inspect(|_| fed += 1));
+            // Same bookkeeping as per-point feeding: arrival-index stamps
+            // are monotone, so only the last one can advance the clock.
+            self.fed += fed;
+            self.since_publish += fed;
+            if fed > 0 {
+                self.last_stamp = self.last_stamp.max(Stamp::at(self.fed - 1));
             }
         }
         if self.cadence == PublishCadence::EveryBatch && self.fed > before {
@@ -594,11 +633,10 @@ impl RdsWriter {
     }
 
     /// Advances the clock to `now` without feeding a point: window
-    /// entries older than `now` expire — immediately for the in-process
-    /// window backend, at the next snapshot for sharded backends — so the
-    /// next published snapshot never serves them (a no-op for the
-    /// infinite window). Stamps must be non-decreasing; an older `now` is
-    /// ignored.
+    /// entries older than `now` expire — immediately with one shard, at
+    /// the next snapshot with several — so the next published snapshot
+    /// never serves them (a no-op for the infinite window). Stamps must
+    /// be non-decreasing; an older `now` is ignored.
     ///
     /// Under [`PublishCadence::EveryN`], an advance that moves the clock
     /// of a window backend counts as one tick (the counter counts
@@ -608,31 +646,11 @@ impl RdsWriter {
     pub fn advance(&mut self, now: Stamp) {
         let moved = now > self.last_stamp;
         self.last_stamp = self.last_stamp.max(now);
-        let now = self.last_stamp;
-        let window_moved =
-            moved && matches!(self.backend, Backend::Window(_) | Backend::WindowEngine(_));
-        if window_moved {
+        self.backend.advance(self.last_stamp);
+        if moved && !self.window.is_infinite() {
             // Window content may have changed (expiry) without an item.
             self.advanced_since_publish = true;
-        }
-        match &mut self.backend {
-            // Infinite window: nothing expires.
-            Backend::Single(_) => {}
-            // Regression (PR 5): `now` used to be dropped here, so the
-            // unsharded window backend kept expired entries alive (and
-            // matchable by later low-stamped items) until the next
-            // publish — forward it like the engine backends do.
-            Backend::Window(s) => DistinctSampler::advance(s.as_mut(), now),
-            Backend::Engine(e) => e.advance(now),
-            Backend::WindowEngine(e) => e.advance(now),
-        }
-        if window_moved {
-            self.since_publish += 1;
-            if let PublishCadence::EveryN(n) = self.cadence {
-                if self.since_publish >= n.max(1) {
-                    self.publish();
-                }
-            }
+            self.tick();
         }
     }
 
@@ -641,14 +659,14 @@ impl RdsWriter {
     /// they already hold stay valid (they are immutable).
     ///
     /// This is the only point where the writer does read-side work, and
-    /// it is copy-on-write: sharded backends flush their batch buffers
-    /// and re-merge only when a shard actually changed; single-process
-    /// backends `Arc`-share every candidate set untouched since the
-    /// previous publish. A publish with nothing new is `O(1)`; one after
+    /// it is copy-on-write: sharded engines flush their batch buffers
+    /// and re-merge only when a shard actually changed; every sampler
+    /// `Arc`-shares each candidate set untouched since the previous
+    /// publish. A publish with nothing new is `O(1)`; one after
     /// `k` changed levels copies those levels only — never the whole
     /// state. The snapshot swap itself is one lock-free atomic store.
     pub fn publish(&mut self) -> u64 {
-        let summary = freeze(&mut self.backend, self.last_stamp);
+        let summary = self.backend.freeze();
         self.epoch += 1;
         self.since_publish = 0;
         self.advanced_since_publish = false;
@@ -684,7 +702,8 @@ impl RdsWriter {
         self.window
     }
 
-    /// The shard count (1 = in-process sampler).
+    /// The shard count (1 = one sampler run inline on the writer's
+    /// thread, no worker thread).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -693,23 +712,18 @@ impl RdsWriter {
     /// [`RdsBuilder::restore_from`], where the dimension comes from the
     /// checkpoint's config echo rather than the caller).
     pub fn dim(&self) -> usize {
-        self.backend_cfg().dim
+        self.backend.config().dim
     }
 
     /// The backend's in-memory footprint in machine words — the paper's
     /// space-accounting unit ([`DistinctSampler::words`]), and the
     /// metering hook the multi-tenant registry charges its global budget
-    /// with. Sharded backends are quiesced first (batch buffers flushed,
+    /// with. Sharded engines are quiesced first (batch buffers flushed,
     /// the per-shard reads queued FIFO behind in-flight batches), so the
     /// figure covers every processed item; `&mut` for exactly that
     /// reason.
     pub fn words(&mut self) -> usize {
-        match &mut self.backend {
-            Backend::Single(s) => s.words(),
-            Backend::Window(s) => s.words(),
-            Backend::Engine(e) => e.words(),
-            Backend::WindowEngine(e) => e.words(),
-        }
+        self.backend.words()
     }
 
     /// The publication cadence in force.
@@ -722,32 +736,17 @@ impl RdsWriter {
         self.cadence = cadence;
     }
 
-    /// The configuration the backend was built from.
-    fn backend_cfg(&self) -> &SamplerConfig {
-        match &self.backend {
-            Backend::Single(s) => s.context().cfg(),
-            Backend::Window(s) => s.context().cfg(),
-            Backend::Engine(e) => e.config(),
-            Backend::WindowEngine(e) => e.config(),
-        }
-    }
-
     /// Captures the writer's complete state as a [`WriterCheckpoint`]:
     /// the config echo, the publication clock, and the backend's full
-    /// sampler state (per shard, for sharded backends). Sharded backends
+    /// sampler state (per shard, for sharded engines). Sharded engines
     /// are quiesced first (batch buffers flushed, state capture queued
     /// behind every in-flight batch), so the checkpoint covers every item
     /// ever processed. The writer keeps running — checkpointing is
     /// non-destructive.
     pub fn checkpoint(&mut self) -> WriterCheckpoint {
-        let backend = match &mut self.backend {
-            Backend::Single(s) => BackendState::Single(s.checkpoint_state()),
-            Backend::Window(s) => BackendState::Window(s.checkpoint_state()),
-            Backend::Engine(e) => BackendState::Engine(e.checkpoint()),
-            Backend::WindowEngine(e) => BackendState::WindowEngine(e.checkpoint()),
-        };
+        let backend = self.backend.checkpoint();
         WriterCheckpoint {
-            cfg: self.backend_cfg().clone(),
+            cfg: self.backend.config().clone(),
             window: self.window,
             shards: self.shards,
             eps: self.eps,
@@ -901,8 +900,9 @@ impl RdsBuilder {
         self
     }
 
-    /// Shards ingestion across `n` worker threads (default 1 = a plain
-    /// in-process sampler). Works for every window model.
+    /// Shards ingestion across `n` worker threads. The default, 1, runs
+    /// the one sampler inline on the writer's thread, with no worker
+    /// thread. Works for every window model.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self
@@ -987,7 +987,7 @@ impl RdsBuilder {
         let mut backend = Self::build_backend(cfg, window, shards, threshold)?;
         // The epoch-0 snapshot: empty but well-formed, so readers work
         // (and report `seen() == 0`) before the first publication.
-        let empty = freeze(&mut backend, Stamp::at(0));
+        let empty = backend.freeze();
         let writer = RdsWriter {
             backend,
             window,
@@ -1019,30 +1019,19 @@ impl RdsBuilder {
             .unwrap_or(PublishCadence::EveryN(DEFAULT_PUBLISH_EVERY))
     }
 
-    /// Assembles the (window, shards) backend — the one construction path
-    /// shared by [`Self::build_split`] and the checkpoint restore.
+    /// Assembles the engine of the window's sampler family.
     fn build_backend(
         cfg: SamplerConfig,
         window: Window,
         shards: usize,
         threshold: usize,
-    ) -> Result<Backend, RdsError> {
-        if shards == 0 {
-            return Err(RdsError::InvalidShards);
-        }
-        Ok(match (window, shards) {
-            (Window::Infinite, 1) => {
-                Backend::Single(Box::new(RobustL0Sampler::try_with_threshold(cfg, threshold)?))
-            }
-            (Window::Infinite, n) => {
-                Backend::Engine(ShardedEngine::try_with_threshold(cfg, n, threshold)?)
-            }
-            (window, 1) => Backend::Window(Box::new(SlidingWindowSampler::try_with_threshold(
-                cfg, window, threshold,
-            )?)),
-            (window, n) => Backend::WindowEngine(
-                ShardedEngine::try_sliding_window_with_threshold(cfg, window, n, threshold)?,
-            ),
+    ) -> Result<Box<dyn Backend>, RdsError> {
+        Ok(if window.is_infinite() {
+            Box::new(ShardedEngine::try_with_threshold(cfg, shards, threshold)?)
+        } else {
+            Box::new(ShardedEngine::try_sliding_window_with_threshold(
+                cfg, window, shards, threshold,
+            )?)
         })
     }
 
@@ -1092,70 +1081,28 @@ impl RdsBuilder {
         ensure(self.eps, chk.eps.unwrap_or(f64::NAN), "count_accuracy eps")?;
         chk.cfg.validate()?;
 
-        fn ensure_cfg(embedded: &SamplerConfig, echo: &SamplerConfig) -> Result<(), RdsError> {
-            if embedded != echo {
-                return Err(checkpoint_err(
-                    "backend sampler state embeds a configuration differing \
-                     from the checkpoint's config echo",
-                ));
+        // A one-shard writer stores the bare sampler state; it resumes as
+        // a one-shard engine at the writer's clock.
+        let mut backend = match chk.backend {
+            BackendState::Single(st) => restore_engine::<RobustL0Sampler>(
+                EngineCheckpoint::single(chk.cfg.clone(), st, chk.fed, chk.last_stamp),
+                &chk.cfg,
+                chk.window,
+                chk.shards,
+            ),
+            BackendState::Window(st) => restore_engine::<SlidingWindowSampler>(
+                EngineCheckpoint::single(chk.cfg.clone(), st, chk.fed, chk.last_stamp),
+                &chk.cfg,
+                chk.window,
+                chk.shards,
+            ),
+            BackendState::Engine(ec) => {
+                restore_engine::<RobustL0Sampler>(ec, &chk.cfg, chk.window, chk.shards)
             }
-            Ok(())
-        }
-        let mut backend = match (chk.window, chk.shards, chk.backend) {
-            (Window::Infinite, 1, BackendState::Single(st)) => {
-                ensure_cfg(st.cfg(), &chk.cfg)?;
-                Backend::Single(Box::new(RobustL0Sampler::try_from_state(st)?))
+            BackendState::WindowEngine(ec) => {
+                restore_engine::<SlidingWindowSampler>(ec, &chk.cfg, chk.window, chk.shards)
             }
-            (window, 1, BackendState::Window(st)) if !window.is_infinite() => {
-                ensure_cfg(st.cfg(), &chk.cfg)?;
-                if st.window() != window {
-                    return Err(checkpoint_err(format!(
-                        "window state covers {:?} but the checkpoint echoes {window:?}",
-                        st.window()
-                    )));
-                }
-                Backend::Window(Box::new(SlidingWindowSampler::try_from_state(st)?))
-            }
-            // Per-shard validation (each state's embedded config, shard
-            // window agreement) happens inside `ShardedEngine::try_restore`;
-            // here only the echo-level facts the engine cannot know are
-            // checked.
-            (Window::Infinite, n, BackendState::Engine(ec)) if n > 1 => {
-                ensure_cfg(ec.config(), &chk.cfg)?;
-                if ec.n_shards() != n {
-                    return Err(checkpoint_err(format!(
-                        "engine state holds {} shards but the checkpoint echoes {n}",
-                        ec.n_shards()
-                    )));
-                }
-                Backend::Engine(ShardedEngine::try_restore(ec)?)
-            }
-            (window, n, BackendState::WindowEngine(ec)) if !window.is_infinite() && n > 1 => {
-                ensure_cfg(ec.config(), &chk.cfg)?;
-                if ec.n_shards() != n {
-                    return Err(checkpoint_err(format!(
-                        "engine state holds {} shards but the checkpoint echoes {n}",
-                        ec.n_shards()
-                    )));
-                }
-                if let Some(st) = ec.states().first() {
-                    if st.window() != window {
-                        return Err(checkpoint_err(format!(
-                            "shard window state covers {:?} but the checkpoint \
-                             echoes {window:?}",
-                            st.window()
-                        )));
-                    }
-                }
-                Backend::WindowEngine(ShardedEngine::try_restore(ec)?)
-            }
-            _ => {
-                return Err(checkpoint_err(
-                    "backend state kind does not match the checkpoint's \
-                     window/shard echo",
-                ))
-            }
-        };
+        }?;
         // A warm snapshot, so readers answer immediately. Epochs version
         // *content*: when the checkpointed state differs from what epoch
         // `chk.epoch` last published (items processed since, or a window
@@ -1163,7 +1110,7 @@ impl RdsBuilder {
         // as `chk.epoch + 1`, never as a reused epoch with different
         // content. A clean checkpoint keeps its epoch — the full state IS
         // the last published content.
-        let summary = freeze(&mut backend, chk.last_stamp);
+        let summary = backend.freeze();
         let epoch = if chk.dirty { chk.epoch + 1 } else { chk.epoch };
         let writer = RdsWriter {
             backend,
@@ -1225,6 +1172,37 @@ impl RdsBuilder {
     }
 }
 
+/// Checks an engine checkpoint against the facts of the writer's echo the
+/// engine cannot know — configuration, shard count, window model — and
+/// restores the engine. Per-shard validation (each state's embedded
+/// configuration, shard window agreement) happens inside
+/// [`ShardedEngine::try_restore`].
+fn restore_engine<S>(
+    chk: EngineCheckpoint<S::State>,
+    cfg: &SamplerConfig,
+    window: Window,
+    shards: usize,
+) -> Result<Box<dyn Backend>, RdsError>
+where
+    S: DistinctSampler + Checkpointable + Send + 'static,
+    S::Summary: Send + 'static,
+    ShardedEngine<S>: Backend,
+{
+    let state_window = chk
+        .states()
+        .first()
+        .and_then(S::state_window)
+        .unwrap_or(Window::Infinite);
+    if chk.config() != cfg || chk.n_shards() != shards || state_window != window {
+        return Err(checkpoint_err(format!(
+            "backend state ({} shards, {state_window:?}) does not match the checkpoint's \
+             echo ({shards} shards, {window:?}), or embeds a different configuration",
+            chk.n_shards()
+        )));
+    }
+    Ok(Box::new(ShardedEngine::<S>::try_restore(chk)?))
+}
+
 impl Rds {
     /// Starts a builder with the library defaults.
     pub fn builder() -> RdsBuilder {
@@ -1281,7 +1259,7 @@ impl Rds {
         self.writer.window()
     }
 
-    /// The shard count (1 = in-process sampler).
+    /// The shard count (1 = one sampler run inline, no worker thread).
     pub fn shards(&self) -> usize {
         self.writer.shards()
     }

@@ -15,7 +15,8 @@
 //! * "how many distinct entities are there?" — [`core::RobustF0Estimator`]
 //!   and [`core::SlidingWindowF0`];
 //! * "which entities dominate the stream?" — [`core::RobustHeavyHitters`];
-//! * distributed unions ([`core::DistributedSampling`]), `k`-sampling,
+//! * distributed unions (merge per-site [`core::MergedSummary`]s with
+//!   [`core::SamplerSummary::merge_many`]), `k`-sampling,
 //!   high-dimensional and angular-metric variants.
 //!
 //! This umbrella crate re-exports the workspace members and provides the

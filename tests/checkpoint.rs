@@ -6,7 +6,9 @@
 //! [`RdsError::Checkpoint`] errors, never panics or corrupt estimates.
 
 use robust_distinct_sampling::core::{GroupRecord, RdsError};
-use robust_distinct_sampling::{PublishCadence, Rds, RdsReader, RdsWriter, WriterCheckpoint};
+use robust_distinct_sampling::{
+    fnv1a64, PublishCadence, Rds, RdsReader, RdsWriter, WriterCheckpoint,
+};
 use rds_geometry::Point;
 use rds_stream::{Stamp, StreamItem, Window};
 
@@ -251,6 +253,37 @@ fn damaged_checkpoint_files_are_typed_errors_never_panics() {
         other => panic!("expected version failure, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn forged_engine_batch_size_is_a_typed_error_not_an_abort() {
+    // Regression: restore checked only `batch_size != 0`, so a re-sealed
+    // container asking for 2^40-item batches restored Ok, and the first
+    // publish aborted the process preallocating the shard buffers.
+    let (mut cw, _) = pair(Window::Infinite, 2);
+    for i in 0..100u64 {
+        cw.process_item(item(i, 10));
+    }
+    let good = cw.checkpoint().to_container_json();
+    let (_, payload) = good.split_once("\"payload\":").expect("container layout");
+    let payload = &payload[..payload.len() - 1];
+    let forged_payload =
+        payload.replacen("\"batch_size\":256", "\"batch_size\":1099511627776", 1);
+    assert_ne!(forged_payload, payload, "fixture: the batch_size field must exist");
+    // a valid checksum: this is a hostile writer, not bit rot
+    let forged = format!(
+        "{{\"magic\":\"rds-checkpoint\",\"version\":1,\"checksum\":{},\"payload\":{forged_payload}}}",
+        fnv1a64(forged_payload.as_bytes())
+    );
+    let chk =
+        WriterCheckpoint::from_container_json(&forged).expect("the container itself verifies");
+    match Rds::builder().restore(chk) {
+        Err(RdsError::Checkpoint { reason }) => {
+            assert!(reason.contains("batch size"), "reason: {reason}")
+        }
+        Err(other) => panic!("expected a typed checkpoint error, got {other:?}"),
+        Ok(_) => panic!("a 2^40-item batch size must not restore"),
+    }
 }
 
 #[test]

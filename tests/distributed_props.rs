@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) of the distributed merge: the
-//! coordinator's [`merge_summaries`] must be order-insensitive, and the
-//! merged estimate must agree with a single sampler that saw the
-//! concatenation of every site stream.
+//! coordinator's [`SamplerSummary::merge_many`] over the sites'
+//! [`MergedSummary`]s must be order-insensitive, and the merged estimate
+//! must agree with a single sampler that saw the concatenation of every
+//! site stream.
 
 use proptest::prelude::*;
-use rds_core::{DistributedSampling, RobustL0Sampler, SamplerConfig, SiteSummary};
+use rds_core::{DistinctSampler, MergedSummary, RobustL0Sampler, SamplerConfig, SamplerSummary};
 use rds_geometry::Point;
 
 /// A stream of `n` points over `n_entities` well-separated entities
@@ -29,15 +30,21 @@ fn split_across_sites(points: &[Point], n_sites: usize, salt: u64) -> Vec<Vec<Po
     sites
 }
 
-fn site_summaries(cfg: &SamplerConfig, sites: &[Vec<Point>]) -> Vec<SiteSummary> {
+fn site_summaries(cfg: &SamplerConfig, sites: &[Vec<Point>]) -> Vec<MergedSummary> {
     sites
         .iter()
         .map(|stream| {
             let mut s = RobustL0Sampler::try_new(cfg.clone()).unwrap();
             s.process_batch(stream);
-            s.into_site_summary()
+            s.into_summary()
         })
         .collect()
+}
+
+fn merge(summaries: Vec<MergedSummary>) -> MergedSummary {
+    MergedSummary::merge_many(summaries)
+        .expect("same cfg")
+        .expect("at least one site")
 }
 
 proptest! {
@@ -57,15 +64,14 @@ proptest! {
             .seed(seed)
             .expected_len(512)
             .kappa0(1.0).build().unwrap(); // small threshold: merges see real subsampling
-        let dist = DistributedSampling::new(cfg.clone());
         let points = entity_stream(8 * n_entities, n_entities);
         let mut summaries = site_summaries(&cfg, &split_across_sites(&points, n_sites, salt));
 
-        let forward = dist.merge_summaries(&summaries).expect("same cfg");
+        let forward = merge(summaries.clone());
         let rot = rotation % summaries.len();
         summaries.rotate_left(rot);
         summaries.reverse();
-        let shuffled = dist.merge_summaries(&summaries).expect("same cfg");
+        let shuffled = merge(summaries);
 
         prop_assert_eq!(forward.level(), shuffled.level());
         prop_assert_eq!(forward.f0_estimate(), shuffled.f0_estimate());
@@ -86,15 +92,13 @@ proptest! {
             .seed(seed)
             .expected_len(256)
             .kappa0(4.0).build().unwrap(); // threshold 32 > 24 entities: nothing subsamples
-        let dist = DistributedSampling::new(cfg.clone());
         let points = entity_stream(6 * n_entities, n_entities);
 
         let mut single = RobustL0Sampler::try_new(cfg.clone()).unwrap();
         single.process_batch(&points);
         prop_assert_eq!(single.level(), 0, "threshold covers every entity");
 
-        let summaries = site_summaries(&cfg, &split_across_sites(&points, n_sites, salt));
-        let merged = dist.merge_summaries(&summaries).expect("same cfg");
+        let merged = merge(site_summaries(&cfg, &split_across_sites(&points, n_sites, salt)));
         prop_assert_eq!(merged.f0_estimate(), single.f0_estimate());
         prop_assert_eq!(merged.f0_estimate(), n_entities as f64);
     }
@@ -114,13 +118,11 @@ proptest! {
             .seed(seed)
             .expected_len(1280)
             .kappa0(2.0).build().unwrap(); // threshold ~21 << 160: several doublings
-        let dist = DistributedSampling::new(cfg.clone());
         let points = entity_stream(8 * n_entities, n_entities);
 
         let mut single = RobustL0Sampler::try_new(cfg.clone()).unwrap();
         single.process_batch(&points);
-        let summaries = site_summaries(&cfg, &split_across_sites(&points, n_sites, salt));
-        let merged = dist.merge_summaries(&summaries).expect("same cfg");
+        let merged = merge(site_summaries(&cfg, &split_across_sites(&points, n_sites, salt)));
 
         let (s, m) = (single.f0_estimate(), merged.f0_estimate());
         prop_assert!(s > 0.0 && m > 0.0);
