@@ -105,8 +105,8 @@ echo "    pre-crash: $pre_crash | restored+resumed: $restored | uninterrupted co
 rm -rf "$CHK_DIR"
 
 echo "==> merge/uniformity/window-boundary/conformance test suite"
-cargo test -q --test distributed_props --test uniformity --test sliding_window_bounds \
-    --test trait_conformance
+cargo test -q --test distributed_props --test merge_differential --test uniformity \
+    --test sliding_window_bounds --test trait_conformance
 cargo test -q -p rds-engine
 
 echo "==> HTTP server robustness + e2e suites"

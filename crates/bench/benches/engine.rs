@@ -30,11 +30,17 @@
 //! points/sec with four readers querying concurrently plus the readers'
 //! aggregate queries/sec during ingest. `RDS_BENCH_FAST=1` shrinks the
 //! workload to a smoke test (used by CI).
+//!
+//! The window group times the publication of a sharded sliding-window
+//! writer: four shards over a window that holds every entity, published
+//! every 1024 points, so each publish merges the shards' window summaries
+//! (`WindowSummary::merge_many`) at the full live-group count.
 
 use rds_core::{RobustL0Sampler, SamplerConfig};
 use rds_engine::ShardedEngine;
 use rds_geometry::Point;
-use robust_distinct_sampling::Rds;
+use rds_stream::Window;
+use robust_distinct_sampling::{PublishCadence, Rds};
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,6 +95,19 @@ struct ConcurrentRow {
 }
 
 #[derive(Serialize)]
+struct WindowPublishRow {
+    shards: usize,
+    window: u64,
+    publish_every: u64,
+    /// Median wall time of one publish (merge of the shard summaries).
+    publish_ms_p50: f64,
+    /// Writer throughput including the publishes.
+    writer_points_per_sec: f64,
+    /// F0 estimate of the final merged window summary.
+    final_f0_estimate: f64,
+}
+
+#[derive(Serialize)]
 struct EngineBenchReport {
     n_points: u64,
     n_entities: u64,
@@ -96,6 +115,7 @@ struct EngineBenchReport {
     unsharded_points_per_sec: f64,
     sharded: Vec<ShardRow>,
     concurrent: ConcurrentRow,
+    window_publish: WindowPublishRow,
 }
 
 /// Best-of-`iters` throughput of `run` over `n_points` items.
@@ -213,6 +233,41 @@ fn bench_concurrent(points: &[Point], shards: usize, readers: usize) -> (f64, f6
     (n as f64 / elapsed, total_queries as f64 / elapsed)
 }
 
+/// A sharded sliding-window writer over the whole stream, published by
+/// hand every `every` points; returns the median publish time (ms), the
+/// writer's points/sec and the final F0 estimate.
+fn bench_window_publish(
+    points: &[Point],
+    shards: usize,
+    window: u64,
+    every: usize,
+) -> (f64, f64, f64) {
+    let n = points.len() as u64;
+    let (mut writer, reader) = Rds::builder()
+        .dim(2)
+        .alpha(0.5)
+        .seed(42)
+        .expected_len(n)
+        .count_accuracy(EPS)
+        .window(Window::Sequence(window))
+        .shards(shards)
+        .publish_cadence(PublishCadence::Manual)
+        .build_split()
+        .expect("valid");
+    let mut publishes = Vec::new();
+    let start = Instant::now();
+    for chunk in points.chunks(every) {
+        writer.process_batch(chunk.iter().cloned());
+        let t = Instant::now();
+        writer.publish();
+        publishes.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    publishes.sort_by(f64::total_cmp);
+    let p50 = publishes[publishes.len() / 2];
+    (p50, n as f64 / elapsed, reader.f0_estimate())
+}
+
 fn main() {
     let (n_points, n_entities, iters) = if fast_mode() {
         (4_000u64, 500u64, 1u32)
@@ -251,6 +306,13 @@ fn main() {
     eprintln!("  writer: {writer_pps:.0} points/sec while readers query");
     eprintln!("  readers: {reader_qps:.0} queries/sec during ingest");
 
+    let (window, every) = (n_points / 2, 1024);
+    eprintln!("group window_publish (4 shards, window {window}, publish every {every})");
+    let (publish_ms, window_pps, window_f0) =
+        bench_window_publish(&points, 4, window, every as usize);
+    eprintln!("  publish p50: {publish_ms:.3} ms (final F0 estimate {window_f0:.0})");
+    eprintln!("  writer: {window_pps:.0} points/sec including publishes");
+
     let report = EngineBenchReport {
         n_points,
         n_entities,
@@ -262,6 +324,14 @@ fn main() {
             readers: 4,
             writer_points_per_sec: writer_pps,
             reader_queries_per_sec: reader_qps,
+        },
+        window_publish: WindowPublishRow {
+            shards: 4,
+            window,
+            publish_every: every,
+            publish_ms_p50: publish_ms,
+            writer_points_per_sec: window_pps,
+            final_f0_estimate: window_f0,
         },
     };
     let out = std::env::var("RDS_BENCH_OUT").unwrap_or_else(|_| "BENCH_engine.json".into());

@@ -30,6 +30,7 @@
 use crate::config::{SamplerConfig, SamplerContext};
 use crate::error::RdsError;
 use crate::infinite::GroupRecord;
+use crate::merge_index::NearIndex;
 use crate::sampler::{derived_rng, SamplerSummary};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
@@ -151,9 +152,13 @@ impl SamplerSummary for MergedSummary {
         Ok(Self::merge_many(vec![self, other])?.expect("two summaries merged"))
     }
 
-    /// Single-pass N-way merge: one shared context, one deduplication
-    /// sweep over all records — the engine's query path, deliberately not
-    /// the quadratic pairwise fold.
+    /// Single-pass N-way merge: one shared context and one deduplication
+    /// pass over all records, each record's cross-summary duplicate found
+    /// through a near-duplicate index over the merged representatives
+    /// instead of a `within` scan over every merged group per record:
+    /// `O(records)` while few groups share a `2α`-wide bucket of the first
+    /// two coordinates. This is the reduce the sharded engine runs on
+    /// every publish.
     fn merge_many(summaries: Vec<Self>) -> Result<Option<Self>, RdsError> {
         let Some(first_cfg) = summaries.first().map(|s| s.cfg.clone()) else {
             return Ok(None);
@@ -169,22 +174,18 @@ impl SamplerSummary for MergedSummary {
         if summaries.len() == 1 {
             return Ok(summaries.into_iter().next());
         }
-        let cfg = first_cfg;
-        let ctx = SamplerContext::new(cfg.clone());
         let level = summaries.iter().map(|s| s.level).max().unwrap_or(0);
-        let alpha = cfg.alpha;
-        let mut acc: Vec<GroupRecord> = Vec::new();
-        let mut rej: Vec<GroupRecord> = Vec::new();
+        let records = summaries.iter().map(|s| s.acc.len() + s.rej.len()).sum();
+        let mut sets = MergeSets::new(first_cfg, level, records);
         for summary in &summaries {
             for rec in summary.acc.iter() {
-                let sampled = rds_hashing::level_sampled(rec.cell_hash, level);
-                absorb_record(rec, sampled, level, alpha, &mut acc, &mut rej, &ctx);
+                sets.absorb(rec, rds_hashing::level_sampled(rec.cell_hash, level));
             }
             for rec in summary.rej.iter() {
-                absorb_record(rec, false, level, alpha, &mut acc, &mut rej, &ctx);
+                sets.absorb(rec, false);
             }
         }
-        Ok(Some(MergedSummary::from_parts(cfg, level, acc, rej)))
+        Ok(Some(sets.finish()))
     }
 
     fn f0_estimate(&self) -> f64 {
@@ -200,42 +201,98 @@ impl SamplerSummary for MergedSummary {
     }
 }
 
-/// Places one record into the merged accept/reject sets, combining it
-/// with an existing record of the same group if the group was observed
-/// by several sites/shards.
-fn absorb_record(
-    rec: &GroupRecord,
-    own_cell_sampled: bool,
+/// Id-space tag of a reject-set record in [`MergeSets::index`]: reject
+/// ids order after every accept id, as the old scan searched the accept
+/// set before the reject set.
+const REJ_ID: u32 = 1 << 31;
+
+/// The merged accept/reject sets under construction, with a
+/// near-duplicate index over their representatives.
+struct MergeSets {
+    cfg: SamplerConfig,
+    ctx: SamplerContext,
     level: u32,
-    alpha: f64,
-    acc: &mut Vec<GroupRecord>,
-    rej: &mut Vec<GroupRecord>,
-    ctx: &SamplerContext,
-) {
-    // cross-site duplicate? combine counts into the existing record
-    if let Some(existing) = acc.iter_mut().find(|g| g.rep.within(&rec.rep, alpha)) {
-        existing.count += rec.count;
-        return;
-    }
-    if let Some(pos) = rej.iter().position(|g| g.rep.within(&rec.rep, alpha)) {
-        if own_cell_sampled {
-            // the group is sampled through this site's representative:
-            // promote the combined record to the accept set
-            let mut combined = rec.clone();
-            combined.count += rej.remove(pos).count;
-            acc.push(combined);
-        } else {
-            rej[pos].count += rec.count;
+    acc: Vec<GroupRecord>,
+    /// The reject set in insertion order; a record promoted to the
+    /// accept set leaves `None` behind, dropped by [`MergeSets::finish`].
+    rej: Vec<Option<GroupRecord>>,
+    /// Accept record `i` under id `i`, reject record `i` under
+    /// `REJ_ID | i`, so the smallest matching id is the record a scan of
+    /// the accept set, then the reject set, meets first.
+    index: NearIndex,
+}
+
+impl MergeSets {
+    /// Empty sets for merging `records` records at rate exponent `level`.
+    fn new(cfg: SamplerConfig, level: u32, records: usize) -> Self {
+        Self {
+            ctx: SamplerContext::new(cfg.clone()),
+            index: NearIndex::with_capacity(cfg.dim, cfg.alpha, records),
+            cfg,
+            level,
+            acc: Vec::new(),
+            rej: Vec::new(),
         }
-        return;
     }
-    // fresh group at the coordinator
-    if own_cell_sampled {
-        acc.push(rec.clone());
-    } else if ctx.any_adjacent_sampled(&rec.rep, level) {
-        rej.push(rec.clone());
+
+    /// Places one record into the merged sets, combining it with an
+    /// existing record of the same group if the group was observed by
+    /// several sites/shards.
+    fn absorb(&mut self, rec: &GroupRecord, own_cell_sampled: bool) {
+        let (acc, rej, alpha) = (&self.acc, &self.rej, self.cfg.alpha);
+        let mut hit = None;
+        self.index.first_match(&rec.rep, &mut hit, |id| {
+            let existing = if id & REJ_ID == 0 {
+                acc.get(id as usize)
+            } else {
+                rej.get((id & !REJ_ID) as usize).and_then(Option::as_ref)
+            };
+            existing.is_some_and(|g| g.rep.within(&rec.rep, alpha))
+        });
+        match hit {
+            // cross-site duplicate? combine counts into the existing record
+            Some(id) if id & REJ_ID == 0 => {
+                if let Some(existing) = self.acc.get_mut(id as usize) {
+                    existing.count += rec.count;
+                }
+            }
+            Some(id) => {
+                let slot = self.rej.get_mut((id & !REJ_ID) as usize);
+                if own_cell_sampled {
+                    // the group is sampled through this site's
+                    // representative: promote the combined record to the
+                    // accept set
+                    if let Some(existing) = slot.and_then(Option::take) {
+                        let mut combined = rec.clone();
+                        combined.count += existing.count;
+                        self.push_acc(combined);
+                    }
+                } else if let Some(Some(existing)) = slot {
+                    existing.count += rec.count;
+                }
+            }
+            // fresh group at the coordinator
+            None if own_cell_sampled => self.push_acc(rec.clone()),
+            None => {
+                if self.ctx.any_adjacent_sampled(&rec.rep, self.level) {
+                    self.index.insert(&rec.rep, REJ_ID | self.rej.len() as u32);
+                    self.rej.push(Some(rec.clone()));
+                }
+                // else: not a candidate at the common rate; dropped
+            }
+        }
     }
-    // else: not a candidate at the common rate; dropped
+
+    fn push_acc(&mut self, rec: GroupRecord) {
+        self.index.insert(&rec.rep, self.acc.len() as u32);
+        self.acc.push(rec);
+    }
+
+    /// The merged summary, promoted reject records compacted away.
+    fn finish(self) -> MergedSummary {
+        let rej = self.rej.into_iter().flatten().collect();
+        MergedSummary::from_parts(self.cfg, self.level, self.acc, rej)
+    }
 }
 
 #[cfg(test)]

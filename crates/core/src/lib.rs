@@ -11,6 +11,7 @@ mod distributed;
 mod error;
 mod heavy;
 mod infinite;
+mod merge_index;
 mod sampler;
 mod store;
 mod sw_fixed;

@@ -206,6 +206,17 @@ impl LshPartitioner for SimHashPartitioner {
     }
 }
 
+/// Partitioners are equal when their configurations are: the hyperplanes
+/// are a deterministic function of `(dim, n_bits, seed)`.
+impl PartialEq for SimHashPartitioner {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.normals.len() == other.normals.len()
+            && self.theta == other.theta
+            && self.seed == other.seed
+    }
+}
+
 // The partitioner is a deterministic function of (dim, n_bits, theta,
 // seed): serialize those four parameters and rebuild the hyperplanes on
 // restore. Validation happens before `new` so a corrupt file surfaces as
@@ -632,21 +643,30 @@ fn metric_record(g: &MetricGroup) -> GroupRecord {
     }
 }
 
-impl<P: LshPartitioner + Clone> SamplerSummary for MetricSummary<P> {
+impl<P: LshPartitioner + Clone + PartialEq> SamplerSummary for MetricSummary<P> {
     fn merge(self, other: Self) -> Result<Self, RdsError> {
         // lint:allow(L1) merge_many of a two-element vec always returns
         // Some; config-mismatch errors propagate through the `?`
         Ok(Self::merge_many(vec![self, other])?.expect("two summaries merged"))
     }
 
-    /// Single-pass N-way merge: one deduplication sweep over all groups —
-    /// the engine's query path, deliberately not the quadratic pairwise
-    /// fold (the pairwise merge re-absorbs the accumulated state).
+    /// Single-pass N-way merge: one deduplication pass over all groups,
+    /// instead of a pairwise fold that re-absorbs the accumulated state.
+    /// Each group is still matched by a `same_group` scan over the merged
+    /// groups, so the pass is quadratic in the live groups.
     fn merge_many(summaries: Vec<Self>) -> Result<Option<Self>, RdsError> {
-        let Some(expected_seed) = summaries.first().map(|s| s.seed) else {
+        let Some(first) = summaries.first() else {
             return Ok(None);
         };
-        if let Some(bad) = summaries.iter().find(|s| s.seed != expected_seed) {
+        let expected_seed = first.seed;
+        // The full configuration, not just the seed: same-seed summaries
+        // over different partitions (another theta, dim or bit count)
+        // would deduplicate under the first summary's predicate, so the
+        // result would depend on the argument order.
+        if let Some(bad) = summaries
+            .iter()
+            .find(|s| s.seed != expected_seed || s.partitioner != first.partitioner)
+        {
             return Err(RdsError::ConfigMismatch {
                 expected_seed,
                 actual_seed: bad.seed,
@@ -656,10 +676,6 @@ impl<P: LshPartitioner + Clone> SamplerSummary for MetricSummary<P> {
             return Ok(summaries.into_iter().next());
         }
         let level = summaries.iter().map(|s| s.level).max().unwrap_or(0);
-        let Some(first) = summaries.first() else {
-            // unreachable: the empty case returned None above
-            return Ok(None);
-        };
         let mut acc = Vec::new();
         let mut rej = Vec::new();
         for summary in &summaries {
@@ -699,7 +715,7 @@ impl<P: LshPartitioner + Clone> SamplerSummary for MetricSummary<P> {
     }
 }
 
-impl<P: LshPartitioner + Clone> DistinctSampler for MetricRobustSampler<P> {
+impl<P: LshPartitioner + Clone + PartialEq> DistinctSampler for MetricRobustSampler<P> {
     type Summary = MetricSummary<P>;
 
     /// Feeds the item's point; the stamp is ignored (infinite window).
@@ -866,6 +882,36 @@ mod tests {
             .map(|g| g.count)
             .sum();
         assert_eq!(total, stream.len() as u64);
+    }
+
+    #[test]
+    fn summaries_of_different_partitions_do_not_merge() {
+        let sampler = |theta: f64, dim: usize, n_bits: usize| {
+            let part = SimHashPartitioner::try_new(dim, n_bits, theta, 7).unwrap();
+            let mut s = MetricRobustSampler::try_new(part, 64, 3).unwrap();
+            for (p, _) in angular_stream(2, 2, dim, 0.001, 9) {
+                s.process(&p);
+            }
+            s
+        };
+        let base = sampler(0.05, 8, 12);
+        // Same seeds, another theta, bit count or dimension: a merge
+        // would deduplicate under whichever partition comes first, so its
+        // estimate would depend on the argument order.
+        for other in [
+            sampler(0.30, 8, 12),
+            sampler(0.05, 8, 10),
+            sampler(0.05, 6, 12),
+        ] {
+            for (a, b) in [
+                (base.summary(), other.summary()),
+                (other.summary(), base.summary()),
+            ] {
+                assert!(matches!(a.merge(b), Err(RdsError::ConfigMismatch { .. })));
+            }
+        }
+        let same = sampler(0.05, 8, 12).summary().merge(base.summary());
+        assert!(same.is_ok(), "equal configurations still merge");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::config::SamplerConfig;
 use crate::error::RdsError;
 use crate::infinite::{BatchStats, GroupRecord, ProcessOutcome};
+use crate::merge_index::NearIndex;
 use crate::sw_fixed::WindowGroupEntry;
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
@@ -53,11 +54,10 @@ pub trait SamplerSummary: Sized {
 
     /// Combines any number of summaries; `Ok(None)` iff `summaries` is
     /// empty. The default folds [`Self::merge`] pairwise; implementations
-    /// whose pairwise merge re-processes the accumulated state (the
-    /// grid-based summaries rebuild their context and re-deduplicate)
-    /// override this with a single-pass N-way merge — the path the
-    /// sharded engine's queries take, so it must not scale quadratically
-    /// in the shard count.
+    /// whose pairwise merge re-processes the accumulated state (every
+    /// summary in this crate) override this with a single-pass N-way
+    /// merge — the reduce the sharded engine runs on every publish, so
+    /// it must not scale quadratically in the shard count.
     ///
     /// # Errors
     ///
@@ -337,32 +337,69 @@ pub(crate) fn window_entry_record(e: &WindowGroupEntry) -> GroupRecord {
 }
 
 impl SamplerSummary for WindowSummary {
-    /// Absorbs `other`'s entries in place, so the default
-    /// [`SamplerSummary::merge_many`] fold is already a single-pass N-way
-    /// merge for this type (unlike the grid summary, nothing is
-    /// re-deduplicated per fold step).
     fn merge(self, other: Self) -> Result<Self, RdsError> {
+        // lint:allow(L1) merge_many of a two-element vec always returns
+        // Some; config-mismatch errors propagate through the `?`
+        Ok(Self::merge_many(vec![self, other])?.expect("two summaries merged"))
+    }
+
+    /// Single-pass N-way merge: the first summary's entries, then every
+    /// later entry either combined into the earliest merged entry of its
+    /// group (the same representative or the same latest point within
+    /// `alpha`) or appended. Matches come from two near-duplicate indexes,
+    /// over the merged entries' `rep`s and over their `last`s, so the merge
+    /// costs `O(entries)` while few groups share a `2α`-wide bucket of the
+    /// first two coordinates. It runs on every
+    /// publish of a sharded window writer (the engine's reduce). The
+    /// result is a fresh single-chunk summary, identical to folding the
+    /// summaries pairwise left to right.
+    fn merge_many(summaries: Vec<Self>) -> Result<Option<Self>, RdsError> {
+        let Some(first_cfg) = summaries.first().map(|s| s.cfg.clone()) else {
+            return Ok(None);
+        };
         // Full-config equality, not just the seed: two summaries built
         // under the same (default) seed but different alpha/dim would
         // otherwise dedup under the wrong threshold.
-        if self.cfg != other.cfg {
+        if let Some(bad) = summaries.iter().find(|s| s.cfg != first_cfg) {
             return Err(RdsError::ConfigMismatch {
-                expected_seed: self.cfg.seed,
-                actual_seed: other.cfg.seed,
+                expected_seed: first_cfg.seed,
+                actual_seed: bad.cfg.seed,
             });
         }
-        let alpha = self.cfg.alpha;
-        // Materialize both sides' chunks into one flat working set; the
-        // merge result is a fresh single-chunk summary (merging is the
-        // coordinator/offline path, not the per-epoch publication path).
-        let mut entries: Vec<(u32, WindowGroupEntry)> =
-            self.entries().cloned().collect();
-        for (level, entry) in other.entries().cloned() {
-            match entries
-                .iter_mut()
-                .find(|(_, e)| e.rep.within(&entry.rep, alpha) || e.last.within(&entry.last, alpha))
-            {
-                Some((l, existing)) => {
+        if summaries.len() == 1 {
+            return Ok(summaries.into_iter().next());
+        }
+        let (dim, alpha) = (first_cfg.dim, first_cfg.alpha);
+        let total = summaries.iter().map(Self::entry_count).sum();
+        let mut entries: Vec<(u32, WindowGroupEntry)> = Vec::with_capacity(total);
+        // Entry `i` is indexed under id `i`, re-indexed whenever its `rep`
+        // or `last` is replaced; the stale id the old point left behind is
+        // re-checked against the current point, so it can only confirm a
+        // true match.
+        let mut reps = NearIndex::with_capacity(dim, alpha, total);
+        let mut lasts = NearIndex::with_capacity(dim, alpha, total);
+        let mut summaries = summaries.iter();
+        for (level, entry) in summaries.next().into_iter().flat_map(Self::entries) {
+            let id = entries.len() as u32;
+            reps.insert(&entry.rep, id);
+            lasts.insert(&entry.last, id);
+            entries.push((*level, entry.clone()));
+        }
+        for (level, entry) in summaries.flat_map(Self::entries) {
+            let mut hit = None;
+            reps.first_match(&entry.rep, &mut hit, |id| {
+                entries
+                    .get(id as usize)
+                    .is_some_and(|(_, e)| e.rep.within(&entry.rep, alpha))
+            });
+            lasts.first_match(&entry.last, &mut hit, |id| {
+                entries
+                    .get(id as usize)
+                    .is_some_and(|(_, e)| e.last.within(&entry.last, alpha))
+            });
+            let hit = hit.and_then(|id| entries.get_mut(id as usize).map(|e| (id, e)));
+            match hit {
+                Some((id, (l, existing))) => {
                     // The same group reached two shards: keep the
                     // finer-rate (lower-level) entry, sum the counts, and
                     // keep the newest live point.
@@ -370,18 +407,25 @@ impl SamplerSummary for WindowSummary {
                     if entry.last_stamp > existing.last_stamp {
                         existing.last = entry.last.clone();
                         existing.last_stamp = entry.last_stamp;
+                        lasts.insert(&existing.last, id);
                     }
-                    if level < *l {
-                        *l = level;
-                        existing.rep = entry.rep;
+                    if *level < *l {
+                        *l = *level;
+                        existing.rep = entry.rep.clone();
                         existing.rep_hash = entry.rep_hash;
                         existing.rep_stamp = entry.rep_stamp;
+                        reps.insert(&existing.rep, id);
                     }
                 }
-                None => entries.push((level, entry)),
+                None => {
+                    let id = entries.len() as u32;
+                    reps.insert(&entry.rep, id);
+                    lasts.insert(&entry.last, id);
+                    entries.push((*level, entry.clone()));
+                }
             }
         }
-        Ok(Self::from_parts(self.cfg, entries))
+        Ok(Some(Self::from_parts(first_cfg, entries)))
     }
 
     /// Horvitz–Thompson estimate `Σ_entries 2^level`.

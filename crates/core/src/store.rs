@@ -84,7 +84,7 @@ pub struct CandidateStore {
 }
 
 /// A free table bucket: the slot half is [`EMPTY`].
-const EMPTY_ENTRY: u64 = u64::MAX;
+pub(crate) const EMPTY_ENTRY: u64 = u64::MAX;
 
 /// Sets `key`'s presence bit in `filter` (`filter.len()` a power of two).
 #[inline]
@@ -96,13 +96,37 @@ fn filter_set(filter: &mut [u64], key: u64) {
 /// Linear-probing insert of `tag << 32 | slot` into the fused table
 /// (`table.len()` a power of two, never full).
 #[inline]
-fn table_insert(table: &mut [u64], key: u64, slot: u32) {
+pub(crate) fn table_insert(table: &mut [u64], key: u64, slot: u32) {
     let m = table.len() - 1;
     let mut idx = (key as usize) & m;
     while table[idx & m] as u32 != EMPTY {
         idx += 1;
     }
     table[idx & m] = (key >> 32) << 32 | u64::from(slot);
+}
+
+/// Calls `visit` with the slot of every entry of the fused table whose
+/// tag matches `key`'s: every slot inserted under `key`, plus the rare
+/// slot of another key sharing its high 32 bits (`table.len()` a power of
+/// two, never full).
+#[inline]
+pub(crate) fn table_probe(table: &[u64], key: u64, mut visit: impl FnMut(u32)) {
+    // Indexing with `i & (len - 1)` is provably in bounds, so the probe
+    // loop compiles without bounds checks.
+    let m = table.len() - 1;
+    let tag = key >> 32;
+    let mut idx = (key as usize) & m;
+    loop {
+        let entry = table[idx & m];
+        let slot = entry as u32;
+        if slot == EMPTY {
+            return;
+        }
+        if (entry >> 32) == tag {
+            visit(slot);
+        }
+        idx += 1;
+    }
 }
 
 impl CandidateStore {
@@ -154,33 +178,15 @@ impl CandidateStore {
         if self.filter[w] & (1u64 << (key & 63)) == 0 {
             return;
         }
-        let table = &self.table[..];
-        // Indexing with `i & (len - 1)` is provably in bounds, so the
-        // probe loop compiles without bounds checks.
-        let m = table.len() - 1;
-        let tag = key >> 32;
-        let mut idx = (key as usize) & m;
-        loop {
-            let entry = table[idx & m];
-            let slot = entry as u32;
-            if slot == EMPTY {
-                return;
-            }
-            if (entry >> 32) == tag {
-                let s = slot as usize;
-                if self.rep_within(s, p, alpha) {
-                    let rank = self.ranks[s];
-                    let better = match *best {
-                        Some((r, _)) => rank < r,
-                        None => true,
-                    };
-                    if better {
-                        *best = Some((rank, slot));
-                    }
+        table_probe(&self.table, key, |slot| {
+            let s = slot as usize;
+            if self.rep_within(s, p, alpha) {
+                let rank = self.ranks[s];
+                if best.is_none_or(|(r, _)| rank < r) {
+                    *best = Some((rank, slot));
                 }
             }
-            idx += 1;
-        }
+        });
     }
 
     /// `self.reps[s].within(p, alpha)`, computed over the flat coordinate

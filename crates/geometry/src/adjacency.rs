@@ -85,12 +85,12 @@ where
         return true;
     }
     // Move to the lower neighbour.
-    st.cell[depth] = base - 1;
+    st.cell[depth] = base.wrapping_sub(1);
     if search(st, depth + 1, acc_sq + down * down) {
         return true;
     }
     // Move to the upper neighbour.
-    st.cell[depth] = base + 1;
+    st.cell[depth] = base.wrapping_add(1);
     if search(st, depth + 1, acc_sq + up * up) {
         return true;
     }
@@ -199,13 +199,24 @@ where
         let (b0, d0, u0) = scratch.dims[0];
         let (b1, d1, u1) = scratch.dims[1];
         let cell = &mut scratch.cell[..2];
-        for (c0, cost0) in [(b0, 0.0), (b0 - 1, d0 * d0), (b0 + 1, u0 * u0)] {
+        // Neighbour indices wrap (here and in the recursive searches):
+        // a coordinate whose cell index saturated at the `i64` range has
+        // no true neighbour, and debug builds must not panic on it.
+        for (c0, cost0) in [
+            (b0, 0.0),
+            (b0.wrapping_sub(1), d0 * d0),
+            (b0.wrapping_add(1), u0 * u0),
+        ] {
             if cost0 > limit_sq {
                 continue;
             }
             cell[0] = c0;
             let f0 = step(init, c0);
-            for (c1, cost1) in [(b1, 0.0), (b1 - 1, d1 * d1), (b1 + 1, u1 * u1)] {
+            for (c1, cost1) in [
+                (b1, 0.0),
+                (b1.wrapping_sub(1), d1 * d1),
+                (b1.wrapping_add(1), u1 * u1),
+            ] {
                 if cost0 + cost1 > limit_sq {
                     continue;
                 }
@@ -255,13 +266,13 @@ where
     if search_fold(st, depth + 1, acc_sq, folded) {
         return true;
     }
-    st.cell[depth] = base - 1;
-    let folded = (st.step)(acc, base - 1);
+    st.cell[depth] = base.wrapping_sub(1);
+    let folded = (st.step)(acc, base.wrapping_sub(1));
     if search_fold(st, depth + 1, acc_sq + down * down, folded) {
         return true;
     }
-    st.cell[depth] = base + 1;
-    let folded = (st.step)(acc, base + 1);
+    st.cell[depth] = base.wrapping_add(1);
+    let folded = (st.step)(acc, base.wrapping_add(1));
     if search_fold(st, depth + 1, acc_sq + up * up, folded) {
         return true;
     }
@@ -457,6 +468,24 @@ mod tests {
                 true
             });
             assert_eq!(first.as_deref(), Some(&*g.cell_of(&p)));
+        }
+    }
+
+    #[test]
+    fn saturated_cell_indices_do_not_overflow() {
+        // 1e300 floors to i64::MAX, and both boundary costs round to zero,
+        // so the DFS steps past the end of the index range.
+        for dim in 1..=3usize {
+            let g = Grid::with_offset(dim, 1.0, vec![0.0; dim]);
+            let p = Point::new(vec![1e300; dim]);
+            let cells = adjacent_cells(&g, &p, 0.5);
+            assert_eq!(cells.first().map(|c| c.to_vec()), Some(g.cell_of(&p).to_vec()));
+            let mut folded = 0;
+            for_each_adjacent_cell_fold(&g, &p, 0.5, 0, |a, _| a, |_: &[i64], _| {
+                folded += 1;
+                false
+            });
+            assert_eq!(folded, cells.len());
         }
     }
 
