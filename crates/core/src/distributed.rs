@@ -33,7 +33,7 @@ use crate::infinite::GroupRecord;
 use crate::merge_index::NearIndex;
 use crate::sampler::{derived_rng, SamplerSummary};
 use rand::rngs::StdRng;
-use rand::seq::{IndexedRandom, SliceRandom};
+use rand::seq::IndexedRandom;
 use rds_geometry::Point;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -102,13 +102,15 @@ impl MergedSummary {
 
     /// Draws `min(k, |Sacc|)` *distinct* sampled groups of the union
     /// (sampling without replacement, the Section 2.3 extension lifted to
-    /// the coordinator), deterministically in `draw`.
+    /// the coordinator), deterministically in `draw`. Costs `k` PRNG words
+    /// and `O(min(k², |Sacc|))` time, so small `k` never pays for the
+    /// whole accept set.
     pub fn query_k(&self, k: usize, draw: u64) -> Vec<GroupRecord> {
         let mut rng = self.rng_for(draw);
-        let mut idx: Vec<usize> = (0..self.acc.len()).collect();
-        idx.shuffle(&mut rng);
-        idx.truncate(k);
-        idx.into_iter().map(|i| self.acc[i].clone()).collect()
+        partial_shuffle(self.acc.len(), k, &mut rng)
+            .into_iter()
+            .map(|i| self.acc[i].clone())
+            .collect()
     }
 
     /// `|Sacc| * R`: the robust F0 estimate for the union.
@@ -199,6 +201,49 @@ impl SamplerSummary for MergedSummary {
     fn query_k(&self, k: usize, draw: u64) -> Vec<GroupRecord> {
         MergedSummary::query_k(self, k, draw)
     }
+}
+
+/// The first `min(k, n)` positions of a Fisher–Yates shuffle of `0..n`
+/// whose step `i` swaps position `i` with a uniform position in `i..n`:
+/// a uniformly random ordered `k`-subset, one PRNG word per pick. For
+/// small `k` only the positions a swap displaced are remembered, and a
+/// lookup scans them; once that scan would cost more than the positions
+/// themselves (`k² > n`) the positions are materialized. Both paths
+/// perform the same swaps, so they return the same answer.
+fn partial_shuffle(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
+    let k = k.min(n);
+    // A uniform position in `i..n`; the offset is below `n - i`, so the
+    // cast back is exact.
+    let mut uniform_from = |i: usize| {
+        let offset = rng.word_below((n - i) as u64);
+        i + offset as usize
+    };
+    if k.saturating_mul(k) > n {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            idx.swap(i, uniform_from(i));
+        }
+        idx.truncate(k);
+        return idx;
+    }
+    /// What position `pos` holds: its latest displacement, else itself.
+    fn at(displaced: &[(usize, usize)], pos: usize) -> usize {
+        displaced
+            .iter()
+            .rev()
+            .find(|&&(p, _)| p == pos)
+            .map_or(pos, |&(_, v)| v)
+    }
+    // `(position, value)` of every swap's far side; positions below `i`
+    // are never read again.
+    let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(k);
+    let mut picks = Vec::with_capacity(k);
+    for i in 0..k {
+        let j = uniform_from(i);
+        picks.push(at(&displaced, j));
+        displaced.push((j, at(&displaced, i)));
+    }
+    picks
 }
 
 /// Id-space tag of a reject-set record in [`MergeSets::index`]: reject
@@ -300,6 +345,66 @@ mod tests {
     use super::*;
     use crate::infinite::RobustL0Sampler;
     use crate::sampler::DistinctSampler;
+
+    #[test]
+    fn partial_shuffle_draws_distinct_uniform_positions() {
+        use rand::SeedableRng;
+        // (n, k) pairs on both paths: 3² <= 10 scans the displaced
+        // positions, 5² > 10 materializes them.
+        for (n, k) in [(10usize, 3usize), (10, 5)] {
+            let draws = 20_000;
+            let mut hits = vec![0u32; n];
+            let mut rng = StdRng::seed_from_u64(n as u64 * 31 + k as u64);
+            for _ in 0..draws {
+                let picks = partial_shuffle(n, k, &mut rng);
+                assert_eq!(picks.len(), k);
+                let mut sorted = picks.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), k, "answers must be distinct");
+                for i in picks {
+                    hits[i] += 1;
+                }
+            }
+            let expected = f64::from(draws) * k as f64 / n as f64;
+            for (i, &h) in hits.iter().enumerate() {
+                let dev = (f64::from(h) - expected).abs() / expected;
+                assert!(
+                    dev < 0.05,
+                    "n {n} k {k}: index {i} drawn {h} times, expected {expected}"
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        for k in [7, 8, 100] {
+            let mut all = partial_shuffle(7, k, &mut rng);
+            all.sort_unstable();
+            assert_eq!(
+                all,
+                (0..7).collect::<Vec<_>>(),
+                "k >= n returns every position"
+            );
+        }
+        assert!(partial_shuffle(7, 0, &mut rng).is_empty());
+        assert!(partial_shuffle(0, 3, &mut rng).is_empty());
+    }
+
+    #[test]
+    fn both_partial_shuffle_paths_make_the_same_swaps() {
+        use rand::SeedableRng;
+        // The scan path (k² <= n) against a materialized shuffle.
+        let (n, k) = (1000usize, 30usize);
+        for seed in 0..50u64 {
+            let picks = partial_shuffle(n, k, &mut StdRng::seed_from_u64(seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut idx: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = i + rng.word_below((n - i) as u64) as usize;
+                idx.swap(i, j);
+            }
+            assert_eq!(picks, idx[..k], "seed {seed}");
+        }
+    }
 
     fn grouped_point(i: u64, n_groups: u64) -> Point {
         Point::new(vec![

@@ -10,15 +10,20 @@
 //! returned — Theorem 2.4 shows this is a uniform sample over groups with
 //! probability `1 - 1/m`.
 //!
-//! Both sets live in one cell-indexed [`CandidateStore`] (struct-of-arrays
-//! columns plus an open-addressing table keyed by `cell(rep)`), so the
-//! per-arrival membership test probes only the buckets of the grid cells
-//! within `alpha` of the point — enumerated by the same pruned DFS that
-//! drives the `adj(p)` sampling test — instead of scanning every stored
-//! record. Batches additionally evaluate the k-wise cell hash level in
-//! one coefficient-major pass over all arrivals. Every decision, every
-//! PRNG draw, and the serialized state are bit-identical to the original
-//! linear-scan bookkeeping.
+//! Both sets live in one bucket-indexed [`CandidateStore`]
+//! (struct-of-arrays columns plus a near-duplicate index over the
+//! representatives, in buckets of width `2α` over the first one or two
+//! coordinates), so the per-arrival membership test (Line 4) probes the
+//! point's bucket and its neighbours on the near side (2 × 2 buckets,
+//! 3 × 3 at worst) instead of scanning every stored record, at the same
+//! cost in every dimension. Duplicates — most arrivals of a
+//! near-duplicate stream — stop there: the point's cell is never
+//! computed. Only the first point of a new group hashes its cell, and
+//! only one whose own cell is unsampled runs the adjacent-cell DFS
+//! (`any_adjacent_sampled`, Line 8). Batches additionally evaluate the
+//! k-wise cell hash level in one coefficient-major pass over all
+//! arrivals. Every decision, every PRNG draw, and the serialized state
+//! are bit-identical to the original linear-scan bookkeeping.
 
 use crate::checkpoint::{check_dims, check_level, Checkpointable, RngState};
 use crate::config::{SamplerConfig, SamplerContext, MAX_LEVEL};
@@ -29,8 +34,7 @@ use crate::store::CandidateStore;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rds_geometry::{for_each_adjacent_cell_fold_with, AdjacencyScratch, Point};
-use rds_hashing::CellKeyMixer;
+use rds_geometry::Point;
 use rds_metrics::SpaceMeter;
 use rds_stream::StreamItem;
 use serde::{Deserialize, Serialize};
@@ -130,16 +134,13 @@ pub struct RobustL0Sampler {
     /// `log2 R`: cells are sampled when the low `level` bits of their hash
     /// are zero.
     level: u32,
-    /// Both candidate sets, cell-indexed (see [`CandidateStore`]).
+    /// Both candidate sets, bucket-indexed (see [`CandidateStore`]).
     store: CandidateStore,
     /// `|Sacc|` bound that triggers rate doubling.
     threshold: usize,
     seen: u64,
     rate_doublings: u32,
     scratch: Vec<i64>,
-    /// Arrival-path scratch for the adjacent-cell DFS (cell coordinates
-    /// and per-dimension bounds), reused across points.
-    adj_scratch: AdjacencyScratch,
     /// Batch-path scratch: the mixer keys of one batch's cells.
     batch_keys: Vec<u64>,
     /// Batch-path scratch: the k-wise hashes of `batch_keys`.
@@ -190,7 +191,6 @@ impl RobustL0Sampler {
             seen: 0,
             rate_doublings: 0,
             scratch: Vec::new(),
-            adj_scratch: AdjacencyScratch::new(),
             batch_keys: Vec::new(),
             batch_hashes: Vec::new(),
             rng,
@@ -222,10 +222,10 @@ impl RobustL0Sampler {
     /// folds every point's cell into its mixer key, pass 2 hashes all keys
     /// in one batched Horner sweep (bit-identical to hashing them one by
     /// one), pass 3 replays the sequential arrival loop with the
-    /// precomputed `(key, hash)` pairs. Once duplicates dominate, most
-    /// precomputed hashes would go unused (a duplicate never consumes its
-    /// hash), so the batch falls back to the per-point path, which hashes
-    /// lazily on a duplicate-probe miss. The precomputation is pure — no
+    /// precomputed hashes. Once duplicates dominate, most precomputed
+    /// hashes would go unused (a duplicate never consumes its hash), so
+    /// the batch falls back to the per-point path, which hashes lazily on
+    /// a duplicate-probe miss. The precomputation is pure — no
     /// RNG draw, no stored state — so the arrival decisions are exactly
     /// those of per-point processing either way.
     fn process_batch_keyed<'a, I>(&mut self, points: I) -> BatchStats
@@ -242,8 +242,8 @@ impl RobustL0Sampler {
                 keys.push(self.ctx.cell_key(p, &mut self.scratch));
             }
             self.ctx.hasher().hash_keys_slice(&keys, &mut hashes);
-            for ((p, &key), &hash) in points.zip(keys.iter()).zip(hashes.iter()) {
-                stats.record(self.process_point(p, Some((key, hash))));
+            for (p, &hash) in points.zip(hashes.iter()) {
+                stats.record(self.process_point(p, Some(hash)));
             }
             self.batch_keys = keys;
             self.batch_hashes = hashes;
@@ -256,60 +256,19 @@ impl RobustL0Sampler {
         stats
     }
 
-    /// One arrival, without the space-meter sweep. `own` carries the
-    /// point's precomputed `(cell key, cell hash)` on the batch path;
-    /// `None` computes them on demand (and the hash only when the point
-    /// turns out to start a new group, exactly like the pre-batch code).
-    fn process_point(&mut self, p: &Point, own: Option<(u64, u64)>) -> ProcessOutcome {
+    /// One arrival, without the space-meter sweep. `own_hash` carries the
+    /// point's precomputed cell hash on the batch path; `None` computes it
+    /// only when the point turns out to start a new group, exactly like
+    /// the pre-batch code.
+    fn process_point(&mut self, p: &Point, own_hash: Option<u64>) -> ProcessOutcome {
         self.seen += 1;
         let alpha = self.ctx.alpha();
 
         // Line 4: if p belongs to a tracked candidate group, update its
-        // bookkeeping (count + reservoir, Section 2.3) and skip it. Any
-        // record within alpha of p has its cell within alpha of p, so
-        // probing the store buckets of the DFS-enumerated adjacent cells
-        // sees every match; the minimum chain rank reproduces the
-        // accept-then-reject first-match order of the old linear scan.
-        //
-        // `|adj(p)|` grows exponentially with the dimension, so the
-        // enumeration carries a cell budget: past it (high-dimensional
-        // grids where the cell index stops paying for itself) the probe
-        // aborts and the linear chain scan answers instead — same record
-        // either way, both compute the first chain-order match.
-        const PROBE_CELL_BUDGET: usize = 64;
-        let mut best: Option<(u64, u32)> = None;
-        let mut own_key: Option<u64> = None;
-        let truncated = {
-            let grid = self.ctx.grid();
-            let hasher = self.ctx.hasher();
-            let store = &self.store;
-            let adj_scratch = &mut self.adj_scratch;
-            let mut visited = 0usize;
-            for_each_adjacent_cell_fold_with(
-                grid,
-                p,
-                alpha,
-                hasher.mixer().fold_init(grid.dim()),
-                CellKeyMixer::fold_step,
-                |_cell, key| {
-                    if own_key.is_none() {
-                        // The DFS visits cell(p) first.
-                        own_key = Some(key);
-                    }
-                    visited += 1;
-                    if visited > PROBE_CELL_BUDGET {
-                        return true;
-                    }
-                    store.probe_best(key, p, alpha, &mut best);
-                    false
-                },
-                adj_scratch,
-            )
-        };
-        if truncated {
-            best = self.store.scan_best(p, alpha);
-        }
-        if let Some((_, slot)) = best {
+        // bookkeeping (count + reservoir, Section 2.3) and skip it. The
+        // store's bucket probe returns the first match of the old
+        // accept-then-reject linear scan.
+        if let Some(slot) = self.store.probe(p, alpha) {
             let count = self.store.bump_count(slot);
             // Reservoir sampling: replace with probability 1/count.
             if self.rng.word_below(count) == 0 {
@@ -320,26 +279,20 @@ impl RobustL0Sampler {
         }
 
         // p is the first point of its group among the candidates.
-        let (key, h) = if let Some(kh) = own {
-            kh
-        } else if let Some(k) = own_key {
-            (k, self.ctx.hasher().hash_key(k))
-        } else {
-            // Unreachable (the DFS always visits cell(p)); recompute from
-            // scratch rather than assume it.
-            let k = self.ctx.cell_key(p, &mut self.scratch);
-            (k, self.ctx.hasher().hash_key(k))
+        let h = match own_hash {
+            Some(h) => h,
+            None => self.ctx.cell_hash(p, &mut self.scratch),
         };
         let outcome = if self.ctx.hash_sampled(h, self.level) {
             // Line 6: the group's first point fell into a sampled cell.
-            self.store.push_acc(key, h, p.clone());
+            self.store.push_acc(h, p.clone());
             self.summary_cache = None;
             ProcessOutcome::Accepted
         } else if self.ctx.any_adjacent_sampled(p, self.level) {
             // Line 8: some adjacent cell is sampled; remember the group as
             // rejected so later points of it are never mistaken for first
             // points.
-            self.store.push_rej(key, h, p.clone());
+            self.store.push_rej(h, p.clone());
             self.summary_cache = None;
             ProcessOutcome::Rejected
         } else {
@@ -424,7 +377,7 @@ impl RobustL0Sampler {
 
     /// Current accept set (representatives of sampled groups),
     /// materialized in insertion order. The records live in the
-    /// cell-indexed store; this clones them into the classic record
+    /// bucket-indexed store; this clones them into the classic record
     /// vector.
     pub fn accept_set(&self) -> Vec<GroupRecord> {
         self.store.acc_records()
@@ -469,8 +422,8 @@ impl RobustL0Sampler {
 /// sets, the rate exponent, the threshold, the arrival counter, and the
 /// exact PRNG position. The grid and hash function are deterministic
 /// functions of the embedded [`SamplerConfig`] and are rebuilt on
-/// restore, not stored — as is the store's cell index (the mixer keys are
-/// a deterministic function of the grid and the representatives).
+/// restore, not stored — as is the store's bucket index (a deterministic
+/// function of `alpha` and the representatives).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RobustL0State {
     cfg: SamplerConfig,
@@ -532,12 +485,7 @@ impl Checkpointable for RobustL0Sampler {
         )?;
         let mut s = Self::try_with_threshold(state.cfg, state.threshold)?;
         s.level = state.level;
-        let mut scratch = Vec::new();
-        let ctx = &s.ctx;
-        let store = CandidateStore::from_records(state.acc, state.rej, |rep| {
-            ctx.cell_key(rep, &mut scratch)
-        });
-        s.store = store;
+        s.store = CandidateStore::from_sets(state.acc, state.rej);
         s.seen = state.seen;
         s.rate_doublings = state.rate_doublings;
         s.rng = state.rng.restore();

@@ -1,50 +1,61 @@
-//! Cell-indexed struct-of-arrays storage for candidate group records.
+//! Struct-of-arrays storage for candidate group records, bucket-indexed
+//! for Algorithm 1's duplicate check.
 //!
 //! [`RobustL0Sampler`](crate::RobustL0Sampler) used to keep its accept and
 //! reject sets as `Vec<GroupRecord>` and answer "does `p` belong to a
-//! tracked group?" with a linear `within(p, alpha)` scan over *every*
-//! record — the dominant per-point cost once a few hundred groups are
-//! live. [`CandidateStore`] keeps the same records cell-indexed instead:
+//! tracked group?" (Line 4) with a linear `within(p, alpha)` scan over
+//! *every* record — the dominant per-point cost once a few hundred groups
+//! are live. [`CandidateStore`] keeps the same records indexed instead:
 //!
-//! * **SoA columns** — `cell_keys` / `cell_hashes` / `counts` / `reps` /
-//!   `reservoirs` / chain-rank tags, one entry per record, addressed by a
-//!   stable slot index. The duplicate probe touches only the small
-//!   integer columns plus the few `reps` it actually compares.
-//! * **Open-addressing table** keyed by the mixer key of `cell(rep)`,
-//!   mapping to slots (linear probing, duplicate keys allowed — two
-//!   groups may share a cell). A point probes only the buckets of cells
-//!   within `alpha` of it, enumerated by the pruned adjacency DFS, and
-//!   runs the geometric comparison on just those candidates.
+//! * **SoA columns** — `cell_hashes` / `counts` / `reps` / `reservoirs` /
+//!   chain-rank tags, one entry per record, addressed by a stable slot
+//!   index, plus a flat `dim`-strided mirror of the representatives'
+//!   coordinates for the distance test.
+//! * **Bucket index** — the summary merges' near-duplicate index
+//!   (`merge_index.rs`) over every representative, under its slot:
+//!   buckets of width `2α` over the first one or two coordinates, so a
+//!   point probes its own bucket and the neighbours on its side of the
+//!   bucket's midpoint (2 × 2 buckets, 3 × 3 at worst) plus an overflow
+//!   list of representatives that cannot be bucketed. The probe costs the
+//!   same in every dimension; no grid cell is enumerated.
 //! * **Insertion-order lists** `acc_slots` / `rej_slots` preserving the
-//!   exact accept-then-reject chain order the linear scan had, so the
-//!   earliest matching record wins ties exactly as before.
+//!   exact accept-then-reject chain order the linear scan had. The probe
+//!   keeps the candidate with the smallest chain rank, so the earliest
+//!   matching record wins exactly as before, and every decision, PRNG
+//!   draw and serialized byte is unchanged.
 //!
-//! Coverage is exact, not approximate: a record `r` matching `p` has
-//! `d(p, cell(r)) <= d(p, r) <= alpha`, so `cell(r)` is always among the
-//! probed cells, and a spurious mixer-key collision only costs a wasted
-//! `within` check (the geometric comparison stays authoritative).
+//! Coverage is exact, not approximate: every record within `alpha` of `p`
+//! is a candidate, and the geometric comparison stays authoritative. A
+//! query point that cannot be bucketed (a huge coordinate, an `alpha`
+//! whose square is not a normal float) walks the chain lists in order
+//! and returns the first match.
 //!
-//! Deletions happen only on rate doubling
-//! ([`CandidateStore::retain_after_doubling`]), which compacts the
-//! columns and rebuilds the table in one `O(n)` pass — rate doubling is
-//! bounded by [`MAX_LEVEL`](crate::MAX_LEVEL) over a sampler's lifetime,
-//! so the hot path never sees tombstones.
+//! The index is built lazily, at the first probe, for the `alpha` that
+//! probe passes (the store itself carries no threshold); a probe under a
+//! different `alpha` takes the chain walk. Appends keep it current;
+//! rate doubling ([`CandidateStore::retain_after_doubling`]) compacts the
+//! columns in one `O(n)` pass and drops it, as does an append past its
+//! capacity, and the next probe rebuilds it. Rate doubling is bounded by
+//! [`MAX_LEVEL`](crate::MAX_LEVEL) over a sampler's lifetime, so the hot
+//! path never sees tombstones.
 
 use crate::infinite::GroupRecord;
+use crate::merge_index::NearIndex;
 use rds_geometry::Point;
+use std::sync::OnceLock;
 
-/// Empty marker for table buckets.
-const EMPTY: u32 = u32::MAX;
+/// Marker for a slot that did not survive compaction.
+const DROPPED: u32 = u32::MAX;
 /// Chain-rank tag bit: reject-set records order after every accept-set
 /// record, mirroring the old `acc.iter().chain(rej.iter())` scan order.
 const REJ_TAG: u64 = 1 << 63;
 
-/// Cell-indexed struct-of-arrays candidate storage (see the module docs).
+/// Bucket-indexed struct-of-arrays candidate storage (see the module
+/// docs).
 #[derive(Clone, Debug, Default)]
 pub struct CandidateStore {
     // SoA columns, one entry per live record, slot-stable between
     // doublings.
-    cell_keys: Vec<u64>,
     cell_hashes: Vec<u64>,
     counts: Vec<u64>,
     reps: Vec<Point>,
@@ -62,71 +73,11 @@ pub struct CandidateStore {
     /// the probe's distance test reads contiguous memory instead of
     /// chasing each representative's own heap allocation.
     reps_flat: Vec<f64>,
-    /// Open-addressing table (linear probing, power-of-two capacity).
-    /// Each entry packs the key's high 32 bits over the slot index
-    /// (`tag << 32 | slot`); an entry whose slot half is [`EMPTY`] is a
-    /// free bucket. Comparing tags instead of full keys can only *add*
-    /// `within` checks on tag collisions, and any record passing the
-    /// geometric check is a true match that the probe of its own cell
-    /// would report anyway (`d(p, cell(r)) <= d(p, r)`), so the fused
-    /// layout returns exactly what the two-array full-key table did —
-    /// while halving the memory the probe loop touches.
-    table: Vec<u64>,
-    /// Key-presence bitmap (8 bits per table bucket, power-of-two word
-    /// count): bit `key % 64` of word `(key / 64) % len` is set for every
-    /// key in the table. Most adjacent cells of a point hold no record,
-    /// and this one-load test lets [`CandidateStore::probe_best`] dismiss
-    /// them without walking the table's collision clusters; a false
-    /// positive (~6% at the 3/4 load factor) only costs the normal probe.
-    filter: Vec<u64>,
+    /// Every slot's representative under the slot id; built by the first
+    /// probe after a rebuild point (see the module docs).
+    index: OnceLock<NearIndex>,
     next_acc_rank: u64,
     next_rej_rank: u64,
-}
-
-/// A free table bucket: the slot half is [`EMPTY`].
-pub(crate) const EMPTY_ENTRY: u64 = u64::MAX;
-
-/// Sets `key`'s presence bit in `filter` (`filter.len()` a power of two).
-#[inline]
-fn filter_set(filter: &mut [u64], key: u64) {
-    let w = (key as usize >> 6) & (filter.len() - 1);
-    filter[w] |= 1u64 << (key & 63);
-}
-
-/// Linear-probing insert of `tag << 32 | slot` into the fused table
-/// (`table.len()` a power of two, never full).
-#[inline]
-pub(crate) fn table_insert(table: &mut [u64], key: u64, slot: u32) {
-    let m = table.len() - 1;
-    let mut idx = (key as usize) & m;
-    while table[idx & m] as u32 != EMPTY {
-        idx += 1;
-    }
-    table[idx & m] = (key >> 32) << 32 | u64::from(slot);
-}
-
-/// Calls `visit` with the slot of every entry of the fused table whose
-/// tag matches `key`'s: every slot inserted under `key`, plus the rare
-/// slot of another key sharing its high 32 bits (`table.len()` a power of
-/// two, never full).
-#[inline]
-pub(crate) fn table_probe(table: &[u64], key: u64, mut visit: impl FnMut(u32)) {
-    // Indexing with `i & (len - 1)` is provably in bounds, so the probe
-    // loop compiles without bounds checks.
-    let m = table.len() - 1;
-    let tag = key >> 32;
-    let mut idx = (key as usize) & m;
-    loop {
-        let entry = table[idx & m];
-        let slot = entry as u32;
-        if slot == EMPTY {
-            return;
-        }
-        if (entry >> 32) == tag {
-            visit(slot);
-        }
-        idx += 1;
-    }
 }
 
 impl CandidateStore {
@@ -161,32 +112,53 @@ impl CandidateStore {
         self.rej_slots.len()
     }
 
-    /// Folds every record of the bucket for cell key `key` whose
-    /// representative is within `alpha` of `p` into `best`, keeping the
-    /// record with the smallest chain rank. Called once per probed cell;
-    /// after probing every cell within `alpha` of `p`, `best` holds
-    /// exactly the record the old linear accept-then-reject scan would
-    /// have found first.
+    /// The slot of the earliest record, in accept-then-reject chain order,
+    /// whose representative is within `alpha` of `p`: exactly the record
+    /// the old linear scan found first.
     #[inline]
-    pub fn probe_best(&self, key: u64, p: &Point, alpha: f64, best: &mut Option<(u64, u32)>) {
-        if self.table.is_empty() {
-            return;
-        }
-        // One-load early out: no record has this key anywhere in the
-        // table (the common case — most adjacent cells are empty).
-        let w = (key as usize >> 6) & (self.filter.len() - 1);
-        if self.filter[w] & (1u64 << (key & 63)) == 0 {
-            return;
-        }
-        table_probe(&self.table, key, |slot| {
-            let s = slot as usize;
-            if self.rep_within(s, p, alpha) {
-                let rank = self.ranks[s];
-                if best.is_none_or(|(r, _)| rank < r) {
-                    *best = Some((rank, slot));
+    pub fn probe(&self, p: &Point, alpha: f64) -> Option<u32> {
+        let index = self.index.get_or_init(|| self.build_index(p.dim(), alpha));
+        let mut best: Option<(u64, u32)> = None;
+        let bucketed = index.alpha().to_bits() == alpha.to_bits()
+            && index.for_each_candidate(p, |slot| {
+                let rank = self.ranks[slot as usize];
+                if best.is_none_or(|(r, _)| rank < r) && self.rep_within(slot as usize, p, alpha) {
+                    best = Some((rank, slot));
                 }
+            });
+        if bucketed {
+            return best.map(|(_, slot)| slot);
+        }
+        // `p` cannot be bucketed: walk the chain in order.
+        self.acc_slots
+            .iter()
+            .chain(&self.rej_slots)
+            .copied()
+            .find(|&slot| self.rep_within(slot as usize, p, alpha))
+    }
+
+    /// [`CandidateStore::probe`] folded into `best` as `(chain rank,
+    /// slot)`, keeping the smaller rank. The index buckets `p` itself, so
+    /// the mixer key of `cell(p)` is not consulted; the parameter keeps
+    /// the signature callers of the earlier cell-keyed probe use.
+    #[inline]
+    pub fn probe_best(&self, _key: u64, p: &Point, alpha: f64, best: &mut Option<(u64, u32)>) {
+        if let Some(slot) = self.probe(p, alpha) {
+            let rank = self.ranks[slot as usize];
+            if best.is_none_or(|(r, _)| rank < r) {
+                *best = Some((rank, slot));
             }
-        });
+        }
+    }
+
+    /// The bucket index over every current record, sized for as many
+    /// again before it must be rebuilt.
+    fn build_index(&self, dim: usize, alpha: f64) -> NearIndex {
+        let mut index = NearIndex::with_capacity(dim, alpha, (self.len() * 2).max(8));
+        for (slot, rep) in self.reps.iter().enumerate() {
+            index.insert(rep, slot as u32);
+        }
+        index
     }
 
     /// `self.reps[s].within(p, alpha)`, computed over the flat coordinate
@@ -207,23 +179,6 @@ impl CandidateStore {
             }
         }
         true
-    }
-
-    /// The linear-scan fallback of [`CandidateStore::probe_best`]: walks
-    /// the accept then the reject list in insertion order and returns the
-    /// first record within `alpha` of `p`. Chain order equals rank order,
-    /// so this is exactly the minimum-rank record the cell-indexed probe
-    /// finds — used when `p`'s adjacent-cell enumeration would visit more
-    /// cells than the store has records worth scanning (high-dimensional
-    /// grids, where `|adj(p)|` grows exponentially with the dimension).
-    pub fn scan_best(&self, p: &Point, alpha: f64) -> Option<(u64, u32)> {
-        for &slot in self.acc_slots.iter().chain(self.rej_slots.iter()) {
-            let s = slot as usize;
-            if self.reps[s].within(p, alpha) {
-                return Some((self.ranks[s], slot));
-            }
-        }
-        None
     }
 
     /// Increments the duplicate counter of `slot`, returning the new
@@ -265,29 +220,28 @@ impl CandidateStore {
         self.acc_slots[i]
     }
 
-    /// Appends a new accept-set record with count 1 and the
-    /// representative as its own reservoir member.
-    pub fn push_acc(&mut self, key: u64, hash: u64, rep: Point) {
+    /// Appends a new accept-set record with cell hash `hash`, count 1 and
+    /// the representative as its own reservoir member.
+    pub fn push_acc(&mut self, hash: u64, rep: Point) {
         let rank = self.next_acc_rank;
         self.next_acc_rank += 1;
         let reservoir = rep.clone();
-        let slot = self.push_record(key, hash, rep, reservoir, 1, rank);
+        let slot = self.push_record(hash, rep, reservoir, 1, rank);
         self.acc_slots.push(slot);
     }
 
-    /// Appends a new reject-set record with count 1 and the
-    /// representative as its own reservoir member.
-    pub fn push_rej(&mut self, key: u64, hash: u64, rep: Point) {
+    /// Appends a new reject-set record with cell hash `hash`, count 1 and
+    /// the representative as its own reservoir member.
+    pub fn push_rej(&mut self, hash: u64, rep: Point) {
         let rank = REJ_TAG | self.next_rej_rank;
         self.next_rej_rank += 1;
         let reservoir = rep.clone();
-        let slot = self.push_record(key, hash, rep, reservoir, 1, rank);
+        let slot = self.push_record(hash, rep, reservoir, 1, rank);
         self.rej_slots.push(slot);
     }
 
     fn push_record(
         &mut self,
-        key: u64,
         hash: u64,
         rep: Point,
         reservoir: Point,
@@ -295,12 +249,13 @@ impl CandidateStore {
         rank: u64,
     ) -> u32 {
         let slot = self.reps.len() as u32;
-        // Insert into the table before the columns grow: a resize re-keys
-        // from the columns, so the new record must not be there yet.
-        self.ensure_table_capacity();
-        table_insert(&mut self.table, key, slot);
-        filter_set(&mut self.filter, key);
-        self.cell_keys.push(key);
+        if let Some(index) = self.index.get_mut() {
+            if index.is_full() {
+                self.index = OnceLock::new();
+            } else {
+                index.insert(&rep, slot);
+            }
+        }
         self.cell_hashes.push(hash);
         self.counts.push(count);
         self.reps_flat.extend_from_slice(rep.coords());
@@ -308,25 +263,6 @@ impl CandidateStore {
         self.reservoirs.push(reservoir);
         self.ranks.push(rank);
         slot
-    }
-
-    fn ensure_table_capacity(&mut self) {
-        let needed = self.reps.len() + 1;
-        // Keep the load factor at or below 3/4.
-        if self.table.is_empty() || needed * 4 > self.table.len() * 3 {
-            let cap = (needed * 2).next_power_of_two().max(16);
-            self.rebuild_table(cap);
-        }
-    }
-
-    fn rebuild_table(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two() && cap >= self.reps.len() * 2);
-        self.table = vec![EMPTY_ENTRY; cap];
-        self.filter = vec![0; cap / 8];
-        for (slot, &key) in self.cell_keys.iter().enumerate() {
-            table_insert(&mut self.table, key, slot as u32);
-            filter_set(&mut self.filter, key);
-        }
     }
 
     /// The rate-doubling refilter, as one compaction pass over the
@@ -338,8 +274,9 @@ impl CandidateStore {
     ///   accept order, when `keep_rej(rep)` holds;
     /// * reject records stay while `keep_rej(rep)` holds;
     ///
-    /// then the columns are compacted to the survivors and the table is
-    /// rebuilt. Both predicates must be pure (they are hash lookups).
+    /// then the columns are compacted to the survivors and the index is
+    /// dropped for the next probe to rebuild. Both predicates must be
+    /// pure (they are hash lookups).
     pub fn retain_after_doubling<KA, KR>(&mut self, mut keep_acc: KA, mut keep_rej: KR)
     where
         KA: FnMut(u64) -> bool,
@@ -375,10 +312,10 @@ impl CandidateStore {
     }
 
     /// Drops every record not referenced by the order lists, renumbers
-    /// slots, and rebuilds the table. `O(n)`; runs only on rate doubling.
+    /// slots, and drops the index. `O(n)`; runs only on rate doubling.
     fn compact(&mut self) {
         let live = self.acc_slots.len() + self.rej_slots.len();
-        let mut remap = vec![EMPTY; self.reps.len()];
+        let mut remap = vec![DROPPED; self.reps.len()];
         let mut order: Vec<u32> = Vec::with_capacity(live);
         for &slot in self.acc_slots.iter().chain(self.rej_slots.iter()) {
             remap[slot as usize] = order.len() as u32;
@@ -390,7 +327,6 @@ impl CandidateStore {
             .into_iter()
             .map(Some)
             .collect();
-        let mut cell_keys = Vec::with_capacity(live);
         let mut cell_hashes = Vec::with_capacity(live);
         let mut counts = Vec::with_capacity(live);
         let mut ranks = Vec::with_capacity(live);
@@ -398,7 +334,6 @@ impl CandidateStore {
         let mut reservoirs = Vec::with_capacity(live);
         for &slot in &order {
             let s = slot as usize;
-            cell_keys.push(self.cell_keys[s]);
             cell_hashes.push(self.cell_hashes[s]);
             counts.push(self.counts[s]);
             ranks.push(self.ranks[s]);
@@ -410,7 +345,6 @@ impl CandidateStore {
             }
         }
         debug_assert_eq!(reps.len(), live, "a live slot was referenced twice");
-        self.cell_keys = cell_keys;
         self.cell_hashes = cell_hashes;
         self.counts = counts;
         self.ranks = ranks;
@@ -423,8 +357,7 @@ impl CandidateStore {
         for slot in self.acc_slots.iter_mut().chain(self.rej_slots.iter_mut()) {
             *slot = remap[*slot as usize];
         }
-        let cap = (live.max(8) * 2).next_power_of_two();
-        self.rebuild_table(cap);
+        self.index = OnceLock::new();
     }
 
     /// Materializes one record (cloning both points).
@@ -477,27 +410,32 @@ impl CandidateStore {
     }
 
     /// Rebuilds a store from materialized record vectors (the checkpoint
-    /// restore path). `key_of` recomputes the mixer key of `cell(rep)` —
-    /// it is a deterministic function of the grid, so it is rebuilt
-    /// rather than stored; the persisted `cell_hash` is kept verbatim.
+    /// restore path); the persisted `cell_hash` is kept verbatim and the
+    /// index is built by the first probe. `_key_of` is not called: the
+    /// index derives each record's bucket from its representative. The
+    /// parameter keeps the signature callers of the earlier cell-keyed
+    /// store use.
     pub fn from_records(
         acc: Vec<GroupRecord>,
         rej: Vec<GroupRecord>,
-        mut key_of: impl FnMut(&Point) -> u64,
+        _key_of: impl FnMut(&Point) -> u64,
     ) -> Self {
+        Self::from_sets(acc, rej)
+    }
+
+    /// [`CandidateStore::from_records`] without the unused key function.
+    pub(crate) fn from_sets(acc: Vec<GroupRecord>, rej: Vec<GroupRecord>) -> Self {
         let mut store = Self::new();
         for r in acc {
-            let key = key_of(&r.rep);
             let rank = store.next_acc_rank;
             store.next_acc_rank += 1;
-            let slot = store.push_record(key, r.cell_hash, r.rep, r.reservoir, r.count, rank);
+            let slot = store.push_record(r.cell_hash, r.rep, r.reservoir, r.count, rank);
             store.acc_slots.push(slot);
         }
         for r in rej {
-            let key = key_of(&r.rep);
             let rank = REJ_TAG | store.next_rej_rank;
             store.next_rej_rank += 1;
-            let slot = store.push_record(key, r.cell_hash, r.rep, r.reservoir, r.count, rank);
+            let slot = store.push_record(r.cell_hash, r.rep, r.reservoir, r.count, rank);
             store.rej_slots.push(slot);
         }
         store
@@ -515,32 +453,60 @@ impl CandidateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn pt(x: f64) -> Point {
         Point::new(vec![x])
     }
 
+    /// The linear accept-then-reject scan the index replaces.
+    fn chain_scan(store: &CandidateStore, p: &Point, alpha: f64) -> Option<u32> {
+        store
+            .acc_slots
+            .iter()
+            .chain(&store.rej_slots)
+            .copied()
+            .find(|&slot| store.rep(slot).within(p, alpha))
+    }
+
     #[test]
-    fn probe_finds_only_matching_bucket_and_respects_chain_order() {
+    fn probe_respects_chain_order_and_the_geometric_test() {
         let mut store = CandidateStore::new();
-        // Two records in the same cell-key bucket, one in another.
-        store.push_rej(7, 100, pt(0.0)); // rej, rank after all acc
-        store.push_acc(7, 200, pt(0.2)); // acc, same bucket
-        store.push_acc(9, 300, pt(10.0));
-        let mut best = None;
-        store.probe_best(7, &pt(0.1), 0.5, &mut best);
-        // Both bucket-7 reps are within 0.5 of 0.1; the accept record wins
+        // 0.0 is a reject record, ranked after every accept record; 0.0
+        // and 0.2 share bucket 0 at width 2α = 1, and 1.0 is in bucket 1.
+        store.push_rej(100, pt(0.0));
+        store.push_acc(200, pt(0.2));
+        store.push_acc(300, pt(10.0));
+        store.push_acc(400, pt(1.0));
+        // Both 0.0 and 0.2 are within 0.5 of 0.1; the accept record wins
         // even though the reject record was inserted first.
-        let (rank, slot) = best.expect("a match");
-        assert_eq!(rank & REJ_TAG, 0, "accept chain order beats reject");
+        let slot = store.probe(&pt(0.1), 0.5).expect("a match");
+        assert_eq!(
+            store.ranks[slot as usize] & REJ_TAG,
+            0,
+            "accept beats reject"
+        );
         assert_eq!(store.rep(slot), &pt(0.2));
-        // A probe of the other bucket sees only its own record.
-        let mut other = None;
-        store.probe_best(9, &pt(10.1), 0.5, &mut other);
-        assert!(other.is_some());
-        let mut miss = None;
-        store.probe_best(9, &pt(0.1), 0.5, &mut miss);
-        assert!(miss.is_none(), "geometric comparison is authoritative");
+        assert_eq!(
+            store.probe(&pt(10.1), 0.5).map(|s| store.rep(s)),
+            Some(&pt(10.0))
+        );
+        // Every record is a candidate of 1.55 (buckets 0 and 1 are probed),
+        // but the nearest, 1.0, is 0.55 away.
+        assert_eq!(
+            store.probe(&pt(1.55), 0.5),
+            None,
+            "geometric comparison is authoritative"
+        );
+        // The rank-folding form agrees, and keeps a rank it is given that
+        // is no larger.
+        let mut best = None;
+        store.probe_best(0, &pt(0.1), 0.5, &mut best);
+        assert_eq!(best.map(|(_, s)| s), Some(slot));
+        let mut lower = Some((0, 7));
+        store.probe_best(0, &pt(0.1), 0.5, &mut lower);
+        assert_eq!(lower, Some((0, 7)));
     }
 
     #[test]
@@ -548,9 +514,9 @@ mod tests {
         let mut store = CandidateStore::new();
         for i in 0..20 {
             if i % 3 == 0 {
-                store.push_rej(i, i * 10, pt(i as f64));
+                store.push_rej(i * 10, pt(i as f64));
             } else {
-                store.push_acc(i, i * 10, pt(i as f64));
+                store.push_acc(i * 10, pt(i as f64));
             }
         }
         assert_eq!(store.acc_len() + store.rej_len(), store.len());
@@ -568,6 +534,10 @@ mod tests {
         let rebuilt = CandidateStore::from_records(acc, rej, |p| p.get(0) as u64);
         assert_eq!(rebuilt.acc_len(), store.acc_len());
         assert_eq!(rebuilt.rej_len(), store.rej_len());
+        for x in [0.0, 1.0, 5.0, 18.0] {
+            let hit = |s: &CandidateStore| s.probe(&pt(x), 0.4).map(|slot| s.record_at(slot).rep);
+            assert_eq!(hit(&rebuilt), hit(&store), "{x}");
+        }
     }
 
     #[test]
@@ -575,11 +545,14 @@ mod tests {
         let mut store = CandidateStore::new();
         // acc: hashes 1 (drop), 2 (keep), 3 (drop); rej: rep 100 kept,
         // rep 101 dropped.
-        store.push_acc(1, 1, pt(1.0));
-        store.push_acc(2, 2, pt(2.0));
-        store.push_acc(3, 3, pt(3.0));
-        store.push_rej(4, 4, pt(100.0));
-        store.push_rej(5, 5, pt(101.0));
+        store.push_acc(1, pt(1.0));
+        store.push_acc(2, pt(2.0));
+        store.push_acc(3, pt(3.0));
+        store.push_rej(4, pt(100.0));
+        store.push_rej(5, pt(101.0));
+        // Build the index before compaction, so the probes below see the
+        // rebuilt one.
+        assert!(store.probe(&pt(3.0), 0.5).is_some());
         store.retain_after_doubling(
             |hash| hash == 2,
             |rep| {
@@ -598,46 +571,94 @@ mod tests {
         assert_eq!(rej[0].rep, pt(100.0));
         assert_eq!(rej[1].rep, pt(1.0));
         assert_eq!(store.len(), 3);
-        // the table still answers probes after compaction
-        let mut best = None;
-        store.probe_best(2, &pt(2.1), 0.5, &mut best);
-        assert!(best.is_some());
-        let mut gone = None;
-        store.probe_best(3, &pt(3.0), 0.5, &mut gone);
-        assert!(gone.is_none(), "dropped record still probeable");
+        // the index answers probes after compaction
+        assert_eq!(
+            store.probe(&pt(2.1), 0.5).map(|s| store.rep(s)),
+            Some(&pt(2.0))
+        );
+        assert_eq!(
+            store.probe(&pt(1.1), 0.5).map(|s| store.rep(s)),
+            Some(&pt(1.0))
+        );
+        assert_eq!(
+            store.probe(&pt(3.0), 0.5),
+            None,
+            "dropped record still probeable"
+        );
+        assert_eq!(
+            store.probe(&pt(101.0), 0.5),
+            None,
+            "dropped record still probeable"
+        );
     }
 
     #[test]
-    fn duplicate_keys_share_a_bucket() {
+    fn far_apart_reps_sharing_a_bucket_are_both_found() {
         let mut store = CandidateStore::new();
-        // Same cell key, far-apart reps: both must be probeable.
-        store.push_acc(42, 1, pt(0.0));
-        store.push_acc(42, 2, pt(50.0));
-        let mut a = None;
-        store.probe_best(42, &pt(0.1), 0.5, &mut a);
-        let mut b = None;
-        store.probe_best(42, &pt(50.1), 0.5, &mut b);
-        let (_, sa) = a.expect("first");
-        let (_, sb) = b.expect("second");
-        assert_ne!(sa, sb);
+        // Same first two coordinates, so the same bucket; 50 apart in the
+        // third.
+        let a = Point::new(vec![0.0, 0.0, 0.0]);
+        let b = Point::new(vec![0.0, 0.0, 50.0]);
+        store.push_acc(1, a.clone());
+        store.push_acc(2, b.clone());
+        let sa = store
+            .probe(&Point::new(vec![0.1, 0.0, 0.0]), 0.5)
+            .expect("first");
+        let sb = store
+            .probe(&Point::new(vec![0.1, 0.0, 50.1]), 0.5)
+            .expect("second");
+        assert_eq!((store.rep(sa), store.rep(sb)), (&a, &b));
     }
 
     #[test]
-    fn table_grows_past_initial_capacity() {
+    fn index_grows_past_initial_capacity() {
         let mut store = CandidateStore::new();
+        assert_eq!(store.probe(&pt(-5.0), 0.5), None);
+        let built = store.index.get().map(|ix| ix.is_full());
+        assert_eq!(built, Some(false), "the first probe builds the index");
         for i in 0..1000u64 {
-            store.push_acc(i.wrapping_mul(0x9E37_79B9), i, pt(i as f64 * 10.0));
+            store.push_acc(i, pt(i as f64 * 10.0));
+            // Probing after every append rebuilds the index each time an
+            // append finds it full.
+            let found = store.probe(&pt(i as f64 * 10.0 + 0.1), 0.5);
+            assert_eq!(found, Some(i as u32), "record {i} unreachable");
         }
-        assert_eq!(store.acc_len(), 1000);
         for i in (0..1000u64).step_by(97) {
-            let mut best = None;
-            store.probe_best(
-                i.wrapping_mul(0x9E37_79B9),
-                &pt(i as f64 * 10.0 + 0.1),
-                0.5,
-                &mut best,
-            );
-            assert!(best.is_some(), "record {i} unreachable");
+            let found = store.probe(&pt(i as f64 * 10.0 - 0.1), 0.5);
+            assert_eq!(found, Some(i as u32), "record {i} unreachable");
+        }
+    }
+
+    #[test]
+    fn probe_equals_the_chain_scan_on_every_path() {
+        // Bucketed reps, reps past 2^52 · 2α (overflow list), an alpha
+        // whose square underflows (nothing bucketed), and a probe under a
+        // different alpha than the index was built for.
+        let mut rng = StdRng::seed_from_u64(7);
+        for (alpha, scale, offset) in [(0.5, 1.0, 0.0), (0.5, 1.0, 1e16), (1e-170, 3e-163, 0.0)] {
+            let mut store = CandidateStore::new();
+            let point = |rng: &mut StdRng| {
+                let x = rng.random_range(0.0..20.0) * scale;
+                let x0 = if rng.random_range(0..2) == 0 {
+                    x + offset
+                } else {
+                    x
+                };
+                Point::new(vec![x0, rng.random_range(0.0..3.0) * scale])
+            };
+            for i in 0..300 {
+                let p = point(&mut rng);
+                assert_eq!(store.probe(&p, alpha), chain_scan(&store, &p, alpha));
+                assert_eq!(
+                    store.probe(&p, 2.0 * alpha),
+                    chain_scan(&store, &p, 2.0 * alpha)
+                );
+                if i % 4 == 0 {
+                    store.push_rej(i, p);
+                } else if store.probe(&p, alpha).is_none() {
+                    store.push_acc(i, p);
+                }
+            }
         }
     }
 
@@ -645,8 +666,8 @@ mod tests {
     fn words_counts_two_points_and_two_bookkeeping_words_per_record() {
         let mut store = CandidateStore::new();
         assert_eq!(store.words(3), 0);
-        store.push_acc(1, 1, Point::new(vec![1.0, 2.0, 3.0]));
-        store.push_rej(2, 2, Point::new(vec![4.0, 5.0, 6.0]));
+        store.push_acc(1, Point::new(vec![1.0, 2.0, 3.0]));
+        store.push_rej(2, Point::new(vec![4.0, 5.0, 6.0]));
         assert_eq!(store.words(3), 2 * (2 * 3 + 2));
     }
 }

@@ -84,8 +84,8 @@ pub const RULES: &[(&str, &str)] = &[
         "L10",
         "no HashMap/BTreeMap and no per-point heap allocation inside the rds-core \
          arrival hot path (fn process/process_inner/process_point) — duplicate \
-         detection goes through the cell-indexed CandidateStore and scratch buffers \
-         live on the sampler (PR 10: cell-indexed store data-layout pass)",
+         detection goes through the bucket-indexed CandidateStore and scratch \
+         buffers live on the sampler (the indexed-store data-layout pass)",
     ),
 ];
 
@@ -1061,7 +1061,7 @@ fn rule_l6(ctx: &mut Ctx<'_>) {
 /// stream point.
 const HOT_PATH_FNS: &[&str] = &["process", "process_inner", "process_point"];
 
-/// Map types with no place on the arrival path: the cell-indexed
+/// Map types with no place on the arrival path: the bucket-indexed
 /// `CandidateStore` is the blessed per-point index.
 const HOT_PATH_MAP_TYPES: &[&str] = &["HashMap", "BTreeMap"];
 
@@ -1074,7 +1074,7 @@ const ALLOC_PATH_FNS: &[&str] = &["new", "with_capacity", "from"];
 const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string"];
 
 /// L10: the arrival hot path allocates nothing and consults no std map
-/// — duplicate detection goes through the cell-indexed store and every
+/// — duplicate detection goes through the bucket-indexed store and every
 /// scratch buffer is preallocated on the sampler, so processing a point
 /// costs O(probe) with no allocator traffic (PR 10 contract). Scans the
 /// bodies of core fns named `process`/`process_inner`/`process_point`;
@@ -1129,7 +1129,7 @@ fn rule_l10(ctx: &mut Ctx<'_>) {
                     &t.clone(),
                     format!(
                         "`{}` inside fn {fn_name}: the arrival path indexes groups \
-                         through the cell-keyed CandidateStore, never a std map \
+                         through the bucket-indexed CandidateStore, never a std map \
                          (PR 10 contract)",
                         t.text
                     ),

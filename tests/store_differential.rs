@@ -1,4 +1,4 @@
-//! Differential suite pinning the cell-indexed `CandidateStore` arrival
+//! Differential suite pinning the bucket-indexed `CandidateStore` arrival
 //! path against a literal re-implementation of the pre-store linear-scan
 //! sampler (same seeds ⇒ identical outcomes, candidate sets, reservoirs,
 //! f0, level, and PRNG positions), plus per-point vs batched equality
@@ -155,6 +155,64 @@ fn entity_stream(seed: u64, n_points: usize, n_entities: usize, dim: usize) -> V
     pts
 }
 
+/// The bucket index's three regimes, as `(alpha, stream)` built from
+/// [`entity_stream`]:
+///
+/// * `0`: `alpha = 1`, every representative bucketed;
+/// * `1`: `alpha = 1e-170`, whose square underflows, so no representative
+///   is bucketed and every probe walks the chain. The stream is scaled by
+///   `3e-163`: the jitter's squared differences underflow to zero too (so
+///   `within` still finds near-duplicates), while the entities' stay
+///   positive;
+/// * `2`: `alpha = 1`, with every other entity's first coordinate moved
+///   onto `2^52 · 2α = 2^53`, the first value the index does not bucket,
+///   or its neighbour `2^53 - 1` one `alpha` below: bucketed and overflow
+///   representatives mix, and bucketed points match overflow ones.
+fn regime_stream(
+    case: usize,
+    seed: u64,
+    n_points: usize,
+    n_entities: usize,
+    dim: usize,
+) -> (f64, Vec<Point>) {
+    let pts = entity_stream(seed, n_points, n_entities, dim);
+    let reshape = |p: Point, f: &dyn Fn(usize, f64) -> f64| {
+        Point::new(
+            p.coords()
+                .iter()
+                .enumerate()
+                .map(|(d, &x)| f(d, x))
+                .collect(),
+        )
+    };
+    match case {
+        0 => (1.0, pts),
+        1 => (
+            1e-170,
+            pts.into_iter()
+                .map(|p| reshape(p, &|_, x| x * 3e-163))
+                .collect(),
+        ),
+        _ => {
+            // Entity centers are multiples of 10 plus jitter below 0.4, so
+            // `x / 10` names the center and `x % 10` is the jitter.
+            let bound = 2f64.powi(53);
+            let far = |d: usize, x: f64| {
+                if d == 0 && (x / 10.0) as u64 % 2 == 1 {
+                    if x % 10.0 < 0.2 {
+                        bound - 1.0
+                    } else {
+                        bound
+                    }
+                } else {
+                    x
+                }
+            };
+            (1.0, pts.into_iter().map(|p| reshape(p, &far)).collect())
+        }
+    }
+}
+
 /// Asserts the production sampler and the reference model agree on
 /// everything observable after the same stream: per-point outcomes were
 /// already compared by the caller; this checks the terminal state.
@@ -181,23 +239,25 @@ fn assert_states_agree(s: &RobustL0Sampler, r: &RefSampler) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Same seeds ⇒ the cell-indexed store and the linear-scan reference
-    /// take identical decisions on every arrival and hold identical
-    /// candidate state afterwards, across dimensions, thresholds, and
-    /// duplicate densities.
+    /// Same seeds ⇒ the bucket-indexed store and the linear-scan
+    /// reference take identical decisions on every arrival and hold
+    /// identical candidate state afterwards, across dimensions up to
+    /// twice the paper's R^5, thresholds, duplicate densities, and the
+    /// index's bucketed, overflow and unbucketable regimes.
     #[test]
     fn store_matches_linear_reference(
         seed in 0u64..500,
-        dim in 1usize..4,
+        dim in 1usize..9,
         n_entities in 1usize..40,
         n_points in 1usize..300,
         kappa0_idx in 0usize..3,
+        regime in 0usize..3,
     ) {
         let kappa0 = [0.5, 1.0, 4.0][kappa0_idx];
-        let pts = entity_stream(seed, n_points, n_entities, dim);
-        let cfg = SamplerConfig::builder(dim, 1.0)
+        let (alpha, pts) = regime_stream(regime, seed, n_points, n_entities, dim);
+        let cfg = SamplerConfig::builder(dim, alpha)
             .seed(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1))
             .expected_len(pts.len() as u64)
             .kappa0(kappa0)
@@ -239,8 +299,8 @@ proptest! {
         assert_states_agree(&batched, &reference);
     }
 
-    /// Checkpoint / restore in the middle of the stream rebuilds the cell
-    /// index exactly: the restored sampler finishes the stream in
+    /// Checkpoint / restore in the middle of the stream rebuilds the
+    /// bucket index exactly: the restored sampler finishes the stream in
     /// lockstep with the reference.
     #[test]
     fn restored_store_matches_reference(
