@@ -3,25 +3,9 @@
 //!
 //! ```text
 //! cargo run -p rds-bench --release --bin figures -- <target> [options]
-//!
-//! targets:
-//!   fig5..fig12   empirical sampling distribution of one dataset
-//!   fig13         pTime (ms/item) for all eight datasets
-//!   fig14         pSpace (words) for all eight datasets
-//!   fig15         stdDevNm and maxDevNm for all eight datasets
-//!   bias          robust sampler vs noiseless min-rank baseline
-//!   sw            sliding-window sampler uniformity (Theorem 2.7)
-//!   f0            robust F0 vs noiseless sketches on noisy data
-//!   all           everything above
-//!
-//! options:
-//!   --runs N      sampling runs per dataset (default 2000; 0 = the paper's
-//!                 200k/500k counts; the shape is stable far earlier)
-//!   --threads N   worker threads (default: available parallelism)
-//!   --seed N      base seed (default 1)
-//!   --scans N     timing scans per dataset for fig13/fig14 (default 5)
-//!   --json PATH   also dump machine-readable results as JSON
 //! ```
+//!
+//! `--help` lists the targets and options.
 
 use rds_baselines::{HyperLogLog, KmvDistinctEstimator, PointMinRankSampler};
 use rds_bench::{
@@ -34,6 +18,7 @@ use rds_metrics::SampleHistogram;
 use rds_stream::{Stamp, StreamItem, Window};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::process::ExitCode;
 
 #[derive(Clone, Debug)]
 struct Options {
@@ -96,23 +81,72 @@ struct F0Result {
     hll_estimate: f64,
 }
 
-fn parse_args() -> (String, Options) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut target = String::from("all");
+/// The command line: printed by `--help`, and after every usage error.
+const USAGE: &str = "\
+usage: figures [target] [options]
+
+targets (default all):
+  fig5..fig12   empirical sampling distribution of one dataset
+  fig13         pTime (ms/item) for all eight datasets
+  fig14         pSpace (words) for all eight datasets
+  fig15         stdDevNm and maxDevNm for all eight datasets
+  bias          robust sampler vs noiseless min-rank baseline
+  sw            sliding-window sampler uniformity (Theorem 2.7)
+  f0            robust F0 vs noiseless sketches on noisy data
+  all           everything above
+
+options:
+  --runs N      sampling runs per dataset (default 2000; 0 = the paper's
+                200k/500k counts; the shape is stable far earlier)
+  --threads N   worker threads (default: available parallelism)
+  --seed N      base seed (default 1)
+  --scans N     timing scans per dataset for fig13/fig14 (default 5)
+  --json PATH   also dump machine-readable results as JSON
+  --help        print this text";
+
+/// What the command line asks for.
+#[derive(Debug)]
+enum Command {
+    Run(String, Options),
+    Help,
+}
+
+/// The figure number of a `figN` target.
+fn fig_number(target: &str) -> Option<u32> {
+    target.strip_prefix("fig")?.parse().ok()
+}
+
+/// Whether `target` names something [`main`] runs.
+fn is_target(target: &str) -> bool {
+    matches!(target, "all" | "bias" | "sw" | "f0")
+        || fig_number(target).is_some_and(|n| (5..=15).contains(&n))
+}
+
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+        let value = value.ok_or_else(|| format!("{flag} expects a number"))?;
+        value
+            .parse()
+            .map_err(|_| format!("{flag} expects a number, got {value:?}"))
+    }
+    let mut target = None;
     let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--runs" => opts.runs = it.next().expect("--runs N").parse().expect("number"),
-            "--threads" => opts.threads = it.next().expect("--threads N").parse().expect("number"),
-            "--seed" => opts.seed = it.next().expect("--seed N").parse().expect("number"),
-            "--scans" => opts.scans = it.next().expect("--scans N").parse().expect("number"),
-            "--json" => opts.json = Some(it.next().expect("--json PATH").clone()),
-            other if !other.starts_with("--") => target = other.to_string(),
-            other => panic!("unknown option {other}"),
+            "--help" => return Ok(Command::Help),
+            "--runs" => opts.runs = number(a, it.next())?,
+            "--threads" => opts.threads = number(a, it.next())?,
+            "--seed" => opts.seed = number(a, it.next())?,
+            "--scans" => opts.scans = number(a, it.next())?,
+            "--json" => opts.json = Some(it.next().ok_or("--json expects a path")?.clone()),
+            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
+            other if !is_target(other) => return Err(format!("unknown target {other}")),
+            other if target.is_some() => return Err(format!("a second target {other}")),
+            other => target = Some(other.to_string()),
         }
     }
-    (target, opts)
+    Ok(Command::Run(target.unwrap_or_else(|| "all".into()), opts))
 }
 
 fn dataset_for_figure(fig: u32) -> PaperDataset {
@@ -353,20 +387,25 @@ fn run_f0(opts: &Options) -> Vec<F0Result> {
     out
 }
 
-fn main() {
-    let (target, opts) = parse_args();
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (target, opts) = match parse_args(&args) {
+        Ok(Command::Run(target, opts)) => (target, opts),
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("figures: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let mut all = AllResults::default();
 
     let mut fig_range: Vec<u32> = Vec::new();
     match target.as_str() {
         "all" => fig_range.extend(5..=12),
-        t if t.starts_with("fig") => {
-            let n: u32 = t[3..].parse().expect("figN");
-            if (5..=12).contains(&n) {
-                fig_range.push(n);
-            }
-        }
-        _ => {}
+        t => fig_range.extend(fig_number(t).filter(|n| (5..=12).contains(n))),
     }
     for fig in fig_range {
         all.figures.push(run_distribution_figure(fig, &opts));
@@ -408,4 +447,58 @@ fn main() {
     census.insert("costs", all.costs.len());
     census.insert("f0", all.f0.len());
     eprintln!("done: {census:?}");
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn targets_and_options_parse() {
+        let Ok(Command::Run(target, opts)) = parse("sw --runs 200 --seed 7 --json out.json") else {
+            panic!("a valid command line")
+        };
+        assert_eq!(target, "sw");
+        assert_eq!((opts.runs, opts.seed), (200, 7));
+        assert_eq!(opts.json.as_deref(), Some("out.json"));
+        for t in ["fig5", "fig12", "fig13", "fig15", "bias", "f0", "all"] {
+            assert!(
+                matches!(parse(t), Ok(Command::Run(got, _)) if got == t),
+                "{t}"
+            );
+        }
+        assert!(matches!(parse(""), Ok(Command::Run(t, _)) if t == "all"));
+    }
+
+    #[test]
+    fn help_wins_over_everything_else() {
+        assert!(matches!(parse("--help"), Ok(Command::Help)));
+        assert!(matches!(parse("fig5 --help"), Ok(Command::Help)));
+    }
+
+    #[test]
+    fn unknown_targets_options_and_numbers_are_errors() {
+        for line in [
+            "bais",
+            "fig99",
+            "fig4",
+            "figx",
+            "fig",
+            "--verbose",
+            "-v",
+            "--runs abc",
+            "--runs",
+            "--threads -1",
+            "--json",
+            "fig5 fig6",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} should be rejected");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client: just enough to talk to an
-//! rds-server. Shared by the e2e test suite and the rds-bench load
-//! generator, so both exercise the exact wire format the server
-//! speaks (keep-alive, `Content-Length` framing, JSON bodies).
+//! rds-server. Shared by the e2e test suites and the benchmark's `http`
+//! workload, so both exercise the exact wire format the server speaks
+//! (keep-alive, `Content-Length` framing, JSON bodies).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

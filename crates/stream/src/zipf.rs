@@ -4,8 +4,8 @@
 //! of the traffic while a long tail stays almost idle. The standard model
 //! for that skew is the Zipf distribution — key of rank `r` (0-based) is
 //! drawn with probability proportional to `1 / (r + 1)^θ` — and it is
-//! what the tenant bench and the loadgen tenant traffic mix use to drive
-//! the registry's eviction machinery realistically.
+//! what the benchmark's `tenants` workload uses to drive the registry's
+//! eviction machinery realistically.
 //!
 //! [`ZipfKeys`] is deterministic for a given seed (same workspace
 //! contract as every other generator here: replayable workloads, no
