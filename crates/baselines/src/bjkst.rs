@@ -72,8 +72,7 @@ impl KmvDistinctEstimator {
             // fewer distinct elements than k: the set is exact
             return n as f64;
         }
-        let vk = *self.smallest.iter().next_back().expect("k >= 2") as f64
-            / u64::MAX as f64;
+        let vk = *self.smallest.iter().next_back().expect("k >= 2") as f64 / u64::MAX as f64;
         (self.k as f64 - 1.0) / vk
     }
 

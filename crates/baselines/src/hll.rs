@@ -67,11 +67,7 @@ impl HyperLogLog {
     /// counting) correction.
     pub fn estimate(&self) -> f64 {
         let m = self.registers.len() as f64;
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 2f64.powi(-(r as i32)))
-            .sum();
+        let sum: f64 = self.registers.iter().map(|&r| 2f64.powi(-(r as i32))).sum();
         let raw = Self::alpha(m) * m * m / sum;
         if raw <= 2.5 * m {
             let zeros = self.registers.iter().filter(|&&r| r == 0).count();

@@ -122,11 +122,7 @@ mod tests {
             }
             hist.record(s.sample().expect("non-empty") as usize);
         }
-        assert!(
-            hist.max_dev_nm() < 0.5,
-            "biased: {:?}",
-            hist.counts()
-        );
+        assert!(hist.max_dev_nm() < 0.5, "biased: {:?}", hist.counts());
     }
 
     #[test]

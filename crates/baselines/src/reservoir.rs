@@ -120,10 +120,7 @@ mod tests {
         }
         let expect = trials / n;
         for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                c.abs_diff(expect) < expect / 2,
-                "item {i}: {c} vs {expect}"
-            );
+            assert!(c.abs_diff(expect) < expect / 2, "item {i}: {c} vs {expect}");
         }
     }
 

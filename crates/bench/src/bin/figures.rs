@@ -254,7 +254,11 @@ fn run_bias(opts: &Options) -> BiasResult {
         .expect("non-empty");
     let top_share = sizes[top_group] as f64 / ds.len() as f64;
 
-    let runs = if opts.runs == 0 { 2000 } else { opts.runs.min(2000) };
+    let runs = if opts.runs == 0 {
+        2000
+    } else {
+        opts.runs.min(2000)
+    };
     let robust = rds_bench::sampling_distribution(&ds, runs, opts.seed, opts.threads);
 
     let mut baseline = SampleHistogram::new(ds.n_groups);
@@ -307,13 +311,19 @@ fn run_sw(opts: &Options) -> SwResult {
             )
         })
         .collect();
-    let runs = if opts.runs == 0 { 4000 } else { opts.runs.min(4000) };
+    let runs = if opts.runs == 0 {
+        4000
+    } else {
+        opts.runs.min(4000)
+    };
     let mut hist = SampleHistogram::new(n_groups as usize);
     for run in 0..runs {
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(opts.seed ^ (run * 6151 + 11))
             .expected_len(stream.len() as u64)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(window)).unwrap();
         for it in &stream {
             s.process(it);
@@ -353,7 +363,9 @@ fn run_f0(opts: &Options) -> Vec<F0Result> {
         let ds = which.generate(opts.seed);
         let cfg = SamplerConfig::builder(ds.dim, ds.alpha)
             .seed(opts.seed)
-            .expected_len(ds.len() as u64).build().unwrap();
+            .expected_len(ds.len() as u64)
+            .build()
+            .unwrap();
         let mut robust = RobustF0Estimator::try_new(cfg, 0.3, 7).unwrap();
         let mut kmv = KmvDistinctEstimator::new(512, opts.seed);
         let mut hll = HyperLogLog::new(12, opts.seed);

@@ -77,7 +77,9 @@ impl GroupLookup {
 pub fn experiment_config(ds: &Dataset, seed: u64) -> SamplerConfig {
     SamplerConfig::builder(ds.dim, ds.alpha)
         .seed(seed)
-        .expected_len(ds.len() as u64).build().unwrap()
+        .expected_len(ds.len() as u64)
+        .build()
+        .unwrap()
 }
 
 /// One full sampling run: stream the dataset through a fresh Algorithm 1

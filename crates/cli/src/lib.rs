@@ -138,9 +138,7 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
         } else {
             "<save|restore>"
         };
-        let action = it
-            .next()
-            .ok_or(format!("{cmd} expects {expects} <path>"))?;
+        let action = it.next().ok_or(format!("{cmd} expects {expects} <path>"))?;
         let path = it
             .next()
             .ok_or(format!("{cmd} {action} expects a file path"))?;
@@ -205,16 +203,12 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
         "snapshot" => match file_action.expect("set above for snapshot") {
             (action, path) if action == "save" => Command::SnapshotSave { path },
             (action, path) if action == "query" => Command::SnapshotQuery { path, k },
-            (action, _) => {
-                return Err(format!("unknown snapshot action {action}\n{}", usage()))
-            }
+            (action, _) => return Err(format!("unknown snapshot action {action}\n{}", usage())),
         },
         "checkpoint" => match file_action.expect("set above for checkpoint") {
             (action, path) if action == "save" => Command::CheckpointSave { path },
             (action, path) if action == "restore" => Command::CheckpointRestore { path, k },
-            (action, _) => {
-                return Err(format!("unknown checkpoint action {action}\n{}", usage()))
-            }
+            (action, _) => return Err(format!("unknown checkpoint action {action}\n{}", usage())),
         },
         other => return Err(format!("unknown command {other}\n{}", usage())),
     };
@@ -268,9 +262,7 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
     if shards > 1 && matches!(command, Command::Heavy { .. }) {
         return Err("heavy does not support --shards".into());
     }
-    if matches!(command, Command::SnapshotQuery { .. })
-        && (window.is_some() || shards > 1)
-    {
+    if matches!(command, Command::SnapshotQuery { .. }) && (window.is_some() || shards > 1) {
         return Err("snapshot query reads a file; --window/--shards do not apply".into());
     }
     Ok(Cli {
@@ -371,13 +363,11 @@ pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> 
             || k.is_some()
             || eps.is_some()
         {
-            return Err(
-                "serve --restore reads the sampler configuration from the \
+            return Err("serve --restore reads the sampler configuration from the \
                  file's config echo; --dim/--alpha/--window/--time/--shards/\
                  --seed/--expected-len/--k/--eps do not apply \
                  (--publish-every still does)"
-                    .into(),
-            );
+                .into());
         }
         let mut b = rds_server::BackendConfig::new(0, 0.0);
         b.restore_from = Some(path);
@@ -608,8 +598,7 @@ pub fn run<R: BufRead, W: std::io::Write>(
 
     for line in input.lines() {
         let line = line.map_err(|e| CliError::Runtime(e.to_string()))?;
-        let Some((point, time)) = parse_line(&line, with_time).map_err(CliError::Runtime)?
-        else {
+        let Some((point, time)) = parse_line(&line, with_time).map_err(CliError::Runtime)? else {
             continue;
         };
         let d = *dim.get_or_insert(point.dim());
@@ -621,9 +610,8 @@ pub fn run<R: BufRead, W: std::io::Write>(
         }
         if rds.is_none() && heavy.is_none() {
             if let Command::Heavy { phi } = &cli.command {
-                heavy = Some(
-                    RobustHeavyHitters::try_new(*phi, cli.alpha).map_err(CliError::Config)?,
-                );
+                heavy =
+                    Some(RobustHeavyHitters::try_new(*phi, cli.alpha).map_err(CliError::Config)?);
             } else {
                 rds = Some(build_rds(cli, d).map_err(CliError::Config)?);
             }
@@ -641,14 +629,16 @@ pub fn run<R: BufRead, W: std::io::Write>(
         n += 1;
     }
 
-    let w = |out: &mut W, s: String| {
-        writeln!(out, "{s}").map_err(|e| CliError::Runtime(e.to_string()))
-    };
+    let w =
+        |out: &mut W, s: String| writeln!(out, "{s}").map_err(|e| CliError::Runtime(e.to_string()));
     match &cli.command {
         Command::Sample { k } => {
             if let Some(mut r) = rds {
                 for rec in r.query_k(*k) {
-                    w(out, format!("{:?} (seen {} times)", rec.rep.coords(), rec.count))?;
+                    w(
+                        out,
+                        format!("{:?} (seen {} times)", rec.rep.coords(), rec.count),
+                    )?;
                 }
             }
         }
@@ -733,8 +723,7 @@ fn run_checkpoint_restore<R: BufRead, W: std::io::Write>(
     let mut n = 0u64;
     for line in input.lines() {
         let line = line.map_err(|e| CliError::Runtime(e.to_string()))?;
-        let Some((point, time)) = parse_line(&line, with_time).map_err(CliError::Runtime)?
-        else {
+        let Some((point, time)) = parse_line(&line, with_time).map_err(CliError::Runtime)? else {
             continue;
         };
         if point.dim() != dim {
@@ -753,15 +742,17 @@ fn run_checkpoint_restore<R: BufRead, W: std::io::Write>(
         n += 1;
     }
     writer.publish();
-    let w = |out: &mut W, s: String| {
-        writeln!(out, "{s}").map_err(|e| CliError::Runtime(e.to_string()))
-    };
+    let w =
+        |out: &mut W, s: String| writeln!(out, "{s}").map_err(|e| CliError::Runtime(e.to_string()));
     w(
         out,
         format!("f0 {:.1} seen {}", reader.f0_estimate(), reader.seen()),
     )?;
     for rec in reader.query_k(k.max(1)) {
-        w(out, format!("{:?} (seen {} times)", rec.rep.coords(), rec.count))?;
+        w(
+            out,
+            format!("{:?} (seen {} times)", rec.rep.coords(), rec.count),
+        )?;
     }
     Ok(n)
 }
@@ -777,11 +768,10 @@ fn run_snapshot_query<W: std::io::Write>(
 ) -> Result<u64, CliError> {
     let json = std::fs::read_to_string(path)
         .map_err(|e| CliError::Runtime(format!("read {path}: {e}")))?;
-    let snap: Snapshot = serde_json::from_str(&json)
-        .map_err(|e| CliError::Runtime(format!("parse {path}: {e}")))?;
-    let w = |out: &mut W, s: String| {
-        writeln!(out, "{s}").map_err(|e| CliError::Runtime(e.to_string()))
-    };
+    let snap: Snapshot =
+        serde_json::from_str(&json).map_err(|e| CliError::Runtime(format!("parse {path}: {e}")))?;
+    let w =
+        |out: &mut W, s: String| writeln!(out, "{s}").map_err(|e| CliError::Runtime(e.to_string()));
     w(
         out,
         format!(
@@ -792,7 +782,10 @@ fn run_snapshot_query<W: std::io::Write>(
         ),
     )?;
     for rec in snap.query_k_at(k.max(1), seed) {
-        w(out, format!("{:?} (seen {} times)", rec.rep.coords(), rec.count))?;
+        w(
+            out,
+            format!("{:?} (seen {} times)", rec.rep.coords(), rec.count),
+        )?;
     }
     Ok(snap.seen())
 }
@@ -817,8 +810,8 @@ mod tests {
 
     #[test]
     fn parses_windowed_time_command() {
-        let cli = parse_cli(&args("count --alpha 1.0 --eps 0.2 --window 100 --time"))
-            .expect("valid");
+        let cli =
+            parse_cli(&args("count --alpha 1.0 --eps 0.2 --window 100 --time")).expect("valid");
         assert_eq!(cli.command, Command::Count { eps: 0.2 });
         assert_eq!(cli.window, Some(Window::Time(100)));
     }
@@ -858,16 +851,23 @@ mod tests {
         let cli = parse_cli(&args("sample --alpha nan")).expect("parses");
         let mut out = Vec::new();
         let err = run(&cli, Cursor::new("1,2\n"), &mut out).expect_err("invalid alpha");
-        assert!(matches!(err, CliError::Config(RdsError::InvalidAlpha { .. })));
+        assert!(matches!(
+            err,
+            CliError::Config(RdsError::InvalidAlpha { .. })
+        ));
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("alpha"), "message: {err}");
     }
 
     #[test]
     fn parses_csv_and_whitespace_lines() {
-        let (p, _) = parse_line("1.5, 2.5, -3", false).expect("valid").expect("point");
+        let (p, _) = parse_line("1.5, 2.5, -3", false)
+            .expect("valid")
+            .expect("point");
         assert_eq!(p, Point::new(vec![1.5, 2.5, -3.0]));
-        let (p2, _) = parse_line("  4 5 6 ", false).expect("valid").expect("point");
+        let (p2, _) = parse_line("  4 5 6 ", false)
+            .expect("valid")
+            .expect("point");
         assert_eq!(p2.dim(), 3);
     }
 
@@ -983,8 +983,7 @@ mod tests {
     fn rejects_invalid_shard_combinations_at_parse_time() {
         let err = parse_cli(&args("count --alpha 0.5 --shards 0")).expect_err("invalid");
         assert!(err.contains("--shards"), "error: {err}");
-        let err =
-            parse_cli(&args("heavy --alpha 0.5 --shards 4")).expect_err("invalid");
+        let err = parse_cli(&args("heavy --alpha 0.5 --shards 4")).expect_err("invalid");
         assert!(err.contains("--shards"), "error: {err}");
     }
 
@@ -997,11 +996,15 @@ mod tests {
             input.push_str(&format!("{}.0\n", (i % 12) * 10));
         }
         let run_with = |extra: &str| -> f64 {
-            let cli = parse_cli(&args(&format!("count --alpha 0.5 --eps 1.0{extra}")))
-                .expect("valid");
+            let cli =
+                parse_cli(&args(&format!("count --alpha 0.5 --eps 1.0{extra}"))).expect("valid");
             let mut out = Vec::new();
             run(&cli, Cursor::new(input.clone()), &mut out).expect("runs");
-            String::from_utf8(out).expect("utf8").trim().parse().expect("a number")
+            String::from_utf8(out)
+                .expect("utf8")
+                .trim()
+                .parse()
+                .expect("a number")
         };
         assert_eq!(run_with(" --shards 4"), 12.0);
         assert_eq!(run_with(""), run_with(" --shards 4"));
@@ -1009,8 +1012,7 @@ mod tests {
 
     #[test]
     fn end_to_end_sharded_sample() {
-        let cli =
-            parse_cli(&args("sample --alpha 0.5 --k 3 --shards 4 --seed 2")).expect("valid");
+        let cli = parse_cli(&args("sample --alpha 0.5 --k 3 --shards 4 --seed 2")).expect("valid");
         let mut input = String::new();
         for i in 0..100 {
             input.push_str(&format!("{}.0, 0.0\n", (i % 10) * 10));
@@ -1028,8 +1030,8 @@ mod tests {
         // The combination the old CLI rejected: shards + window. 16 groups
         // cycle, then only group 0 streams for a full window — the sharded
         // windowed count must slide down to 1.
-        let cli = parse_cli(&args("count --alpha 0.5 --eps 1.0 --window 32 --shards 3"))
-            .expect("valid");
+        let cli =
+            parse_cli(&args("count --alpha 0.5 --eps 1.0 --window 32 --shards 3")).expect("valid");
         let mut input = String::new();
         for i in 0..256 {
             input.push_str(&format!("{}.0\n", (i % 16) * 10));
@@ -1058,16 +1060,21 @@ mod tests {
 
     #[test]
     fn parses_snapshot_commands() {
-        let cli = parse_cli(&args("snapshot save /tmp/s.json --alpha 0.5 --seed 4"))
-            .expect("valid");
+        let cli =
+            parse_cli(&args("snapshot save /tmp/s.json --alpha 0.5 --seed 4")).expect("valid");
         assert_eq!(
             cli.command,
-            Command::SnapshotSave { path: "/tmp/s.json".into() }
+            Command::SnapshotSave {
+                path: "/tmp/s.json".into()
+            }
         );
         let cli = parse_cli(&args("snapshot query /tmp/s.json --k 2")).expect("valid");
         assert_eq!(
             cli.command,
-            Command::SnapshotQuery { path: "/tmp/s.json".into(), k: 2 }
+            Command::SnapshotQuery {
+                path: "/tmp/s.json".into(),
+                k: 2
+            }
         );
     }
 
@@ -1106,8 +1113,7 @@ mod tests {
         assert!(text.contains(&path_str), "save output: {text}");
 
         // offline: no stream input at all
-        let cli = parse_cli(&args(&format!("snapshot query {path_str} --k 3")))
-            .expect("valid");
+        let cli = parse_cli(&args(&format!("snapshot query {path_str} --k 3"))).expect("valid");
         let mut out = Vec::new();
         run(&cli, Cursor::new(""), &mut out).expect("queries");
         let text = String::from_utf8(out).expect("utf8");
@@ -1130,8 +1136,8 @@ mod tests {
 
     #[test]
     fn snapshot_save_of_empty_stream_is_a_runtime_error() {
-        let cli = parse_cli(&args("snapshot save /tmp/never-written.json --alpha 0.5"))
-            .expect("valid");
+        let cli =
+            parse_cli(&args("snapshot save /tmp/never-written.json --alpha 0.5")).expect("valid");
         let mut out = Vec::new();
         let err = run(&cli, Cursor::new(""), &mut out).expect_err("no points");
         assert_eq!(err.exit_code(), 1);
@@ -1139,8 +1145,7 @@ mod tests {
 
     #[test]
     fn snapshot_query_of_missing_file_is_a_runtime_error() {
-        let cli = parse_cli(&args("snapshot query /tmp/does-not-exist-rds.json"))
-            .expect("valid");
+        let cli = parse_cli(&args("snapshot query /tmp/does-not-exist-rds.json")).expect("valid");
         let mut out = Vec::new();
         let err = run(&cli, Cursor::new(""), &mut out).expect_err("missing file");
         assert_eq!(err.exit_code(), 1);
@@ -1148,16 +1153,21 @@ mod tests {
 
     #[test]
     fn parses_checkpoint_commands() {
-        let cli = parse_cli(&args("checkpoint save /tmp/c.json --alpha 0.5 --seed 4"))
-            .expect("valid");
+        let cli =
+            parse_cli(&args("checkpoint save /tmp/c.json --alpha 0.5 --seed 4")).expect("valid");
         assert_eq!(
             cli.command,
-            Command::CheckpointSave { path: "/tmp/c.json".into() }
+            Command::CheckpointSave {
+                path: "/tmp/c.json".into()
+            }
         );
         let cli = parse_cli(&args("checkpoint restore /tmp/c.json --k 2")).expect("valid");
         assert_eq!(
             cli.command,
-            Command::CheckpointRestore { path: "/tmp/c.json".into(), k: 2 }
+            Command::CheckpointRestore {
+                path: "/tmp/c.json".into(),
+                k: 2
+            }
         );
     }
 
@@ -1209,8 +1219,8 @@ mod tests {
 
         // restore + resume the second half: same estimate as one
         // uninterrupted count over the full stream
-        let restore = parse_cli(&args(&format!("checkpoint restore {path_str} --k 3")))
-            .expect("valid");
+        let restore =
+            parse_cli(&args(&format!("checkpoint restore {path_str} --k 3"))).expect("valid");
         let mut out = Vec::new();
         let n = run(&restore, Cursor::new(second), &mut out).expect("restores");
         assert_eq!(n, 60, "only the resumed items are counted");
@@ -1222,7 +1232,10 @@ mod tests {
         let mut out = Vec::new();
         run(&restore, Cursor::new(""), &mut out).expect("restores empty");
         let text = String::from_utf8(out).expect("utf8");
-        assert!(text.contains("f0 12.0 seen 60"), "empty-restore output: {text}");
+        assert!(
+            text.contains("f0 12.0 seen 60"),
+            "empty-restore output: {text}"
+        );
 
         // reference: one uninterrupted save over the full stream reports
         // the same estimate the crash-recovered pipeline reached
@@ -1262,8 +1275,8 @@ mod tests {
 
     #[test]
     fn checkpoint_save_of_empty_stream_is_a_runtime_error() {
-        let cli = parse_cli(&args("checkpoint save /tmp/never-written.chk --alpha 0.5"))
-            .expect("valid");
+        let cli =
+            parse_cli(&args("checkpoint save /tmp/never-written.chk --alpha 0.5")).expect("valid");
         let mut out = Vec::new();
         let err = run(&cli, Cursor::new(""), &mut out).expect_err("no points");
         assert_eq!(err.exit_code(), 1);
@@ -1304,12 +1317,8 @@ mod tests {
     fn serve_tenancy_flags_are_all_or_nothing() {
         // --tenants needs both the budget and the spill directory
         assert!(parse_serve(&args("--dim 2 --alpha 0.5 --tenants")).is_err());
-        assert!(
-            parse_serve(&args("--dim 2 --alpha 0.5 --tenants --budget-words 100")).is_err()
-        );
-        assert!(
-            parse_serve(&args("--dim 2 --alpha 0.5 --tenants --spill-dir /tmp/s")).is_err()
-        );
+        assert!(parse_serve(&args("--dim 2 --alpha 0.5 --tenants --budget-words 100")).is_err());
+        assert!(parse_serve(&args("--dim 2 --alpha 0.5 --tenants --spill-dir /tmp/s")).is_err());
         assert!(parse_serve(&args(
             "--dim 2 --alpha 0.5 --tenants --budget-words 0 --spill-dir /tmp/s"
         ))
@@ -1344,8 +1353,7 @@ mod tests {
             assert!(err.contains("config echo"), "error for `{bad}`: {err}");
         }
         // ...but the serving cadence stays configurable
-        let cfg = parse_serve(&args("--restore /tmp/x.chk --publish-every 10"))
-            .expect("valid");
+        let cfg = parse_serve(&args("--restore /tmp/x.chk --publish-every 10")).expect("valid");
         assert_eq!(cfg.backend.restore_from.as_deref(), Some("/tmp/x.chk"));
         assert_eq!(cfg.backend.publish_every, Some(10));
     }

@@ -212,9 +212,6 @@ mod tests {
     fn level_guard_rejects_unrepresentable_rates() {
         assert!(check_level(0).is_ok());
         assert!(check_level(63).is_ok());
-        assert!(matches!(
-            check_level(64),
-            Err(RdsError::Checkpoint { .. })
-        ));
+        assert!(matches!(check_level(64), Err(RdsError::Checkpoint { .. })));
     }
 }

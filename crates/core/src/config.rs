@@ -319,13 +319,19 @@ mod tests {
 
     #[test]
     fn threshold_scales_with_log_m_and_k() {
-        let base = SamplerConfig::builder(2, 1.0).expected_len(1 << 10).build().unwrap();
+        let base = SamplerConfig::builder(2, 1.0)
+            .expected_len(1 << 10)
+            .build()
+            .unwrap();
         let long = SamplerConfig {
             expected_len: 1 << 20,
             ..base.clone()
         };
         assert!(long.threshold() > base.threshold());
-        let k3 = SamplerConfig { k: 3, ..base.clone() };
+        let k3 = SamplerConfig {
+            k: 3,
+            ..base.clone()
+        };
         assert_eq!(k3.threshold(), 3 * base.threshold());
     }
 
@@ -421,7 +427,10 @@ mod tests {
 
     #[test]
     fn builder_high_dim_uses_side_d_alpha() {
-        let cfg = SamplerConfig::builder(8, 0.25).high_dim().build().expect("valid");
+        let cfg = SamplerConfig::builder(8, 0.25)
+            .high_dim()
+            .build()
+            .expect("valid");
         assert!((cfg.side() - 2.0).abs() < 1e-12);
     }
 
@@ -435,7 +444,10 @@ mod tests {
 
     #[test]
     fn auto_independence_is_at_least_eight() {
-        let cfg = SamplerConfig::builder(2, 1.0).expected_len(16).build().unwrap();
+        let cfg = SamplerConfig::builder(2, 1.0)
+            .expected_len(16)
+            .build()
+            .unwrap();
         assert!(cfg.effective_independence() >= 8);
     }
 }

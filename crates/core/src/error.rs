@@ -203,14 +203,18 @@ mod tests {
         assert!(RdsError::InvalidThreshold
             .to_string()
             .contains("threshold must be at least 1"));
-        assert!(RdsError::UnboundedWindow.to_string().contains("bounded window"));
+        assert!(RdsError::UnboundedWindow
+            .to_string()
+            .contains("bounded window"));
         assert!(RdsError::InvalidShards
             .to_string()
             .contains("at least one shard"));
         assert!(RdsError::InvalidBatchSize
             .to_string()
             .contains("batch size must be at least 1"));
-        assert!(RdsError::InvalidK.to_string().contains("k must be at least 1"));
+        assert!(RdsError::InvalidK
+            .to_string()
+            .contains("k must be at least 1"));
         assert!(RdsError::InvalidEps { eps: 0.0 }
             .to_string()
             .contains("eps must be in (0, 1]"));

@@ -248,7 +248,9 @@ mod tests {
         let n_groups = 200u64;
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(3)
-            .expected_len(4000).build().unwrap();
+            .expected_len(4000)
+            .build()
+            .unwrap();
         let mut est = RobustF0Estimator::try_new(cfg, 0.5, 7).unwrap();
         for i in 0..4000u64 {
             est.process(&grouped_point(i, n_groups));
@@ -262,7 +264,11 @@ mod tests {
 
     #[test]
     fn batch_processing_matches_per_point_processing() {
-        let cfg = SamplerConfig::builder(1, 0.5).seed(9).expected_len(512).build().unwrap();
+        let cfg = SamplerConfig::builder(1, 0.5)
+            .seed(9)
+            .expected_len(512)
+            .build()
+            .unwrap();
         let points: Vec<Point> = (0..512u64).map(|i| grouped_point(i, 64)).collect();
         let mut one = RobustF0Estimator::try_new(cfg.clone(), 0.5, 3).unwrap();
         for p in &points {
@@ -301,7 +307,9 @@ mod tests {
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(5)
             .expected_len(2048)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut est = SlidingWindowF0::try_new(cfg, Window::Sequence(512), 0.8).unwrap();
         for i in 0..2048u64 {
             est.process(&StreamItem::new(grouped_point(i, n_groups), Stamp::at(i)));
@@ -320,7 +328,9 @@ mod tests {
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(6)
             .expected_len(4096)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut est = SlidingWindowF0::try_new(cfg, Window::Sequence(256), 0.8).unwrap();
         for i in 0..1024u64 {
             est.process(&StreamItem::new(grouped_point(i, 64), Stamp::at(i)));
@@ -342,7 +352,9 @@ mod tests {
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(7)
             .expected_len(2048)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut small = SlidingWindowF0::try_new(cfg.clone(), Window::Sequence(256), 1.0).unwrap();
         let mut large = SlidingWindowF0::try_new(cfg, Window::Sequence(256), 1.0).unwrap();
         for i in 0..1024u64 {

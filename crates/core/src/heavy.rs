@@ -87,11 +87,7 @@ impl RobustHeavyHitters {
     pub fn process(&mut self, p: &Point) {
         self.seen += 1;
         // existing group?
-        if let Some(g) = self
-            .groups
-            .iter_mut()
-            .find(|g| g.rep.within(p, self.alpha))
-        {
+        if let Some(g) = self.groups.iter_mut().find(|g| g.rep.within(p, self.alpha)) {
             g.count += 1;
             return;
         }
@@ -117,11 +113,8 @@ impl RobustHeavyHitters {
     /// `m / capacity` of the threshold).
     pub fn heavy_hitters(&self) -> Vec<&HeavyGroup> {
         let threshold = (self.phi * self.seen as f64).floor() as u64;
-        let mut out: Vec<&HeavyGroup> = self
-            .groups
-            .iter()
-            .filter(|g| g.count > threshold)
-            .collect();
+        let mut out: Vec<&HeavyGroup> =
+            self.groups.iter().filter(|g| g.count > threshold).collect();
         out.sort_by_key(|g| std::cmp::Reverse(g.count));
         out
     }
@@ -152,11 +145,7 @@ impl RobustHeavyHitters {
 
     /// Words of memory in use.
     pub fn words(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.rep.words() + 2)
-            .sum::<usize>()
-            + 4
+        self.groups.iter().map(|g| g.rep.words() + 2).sum::<usize>() + 4
     }
 }
 
@@ -175,7 +164,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut hh = RobustHeavyHitters::try_new(0.2, 0.5).unwrap();
         for i in 0..1000 {
-            let base = if i % 2 == 0 { 0.0 } else { (i % 50) as f64 * 10.0 };
+            let base = if i % 2 == 0 {
+                0.0
+            } else {
+                (i % 50) as f64 * 10.0
+            };
             hh.process(&noisy(base, &mut rng));
         }
         let heavy = hh.heavy_hitters();
@@ -201,7 +194,10 @@ mod tests {
             hh.process(&noisy(base, &mut rng));
         }
         let est = hh.estimate(&Point::new(vec![0.0]));
-        assert!(est >= truth, "SpaceSaving must not underestimate: {est} < {truth}");
+        assert!(
+            est >= truth,
+            "SpaceSaving must not underestimate: {est} < {truth}"
+        );
         assert!(
             est <= truth + hh.seen() / 20,
             "overestimate too large: {est} vs {truth}"

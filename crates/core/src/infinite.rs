@@ -575,9 +575,9 @@ impl DistinctSampler for RobustL0Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rds_datasets::{uniform_dups, rand_cloud};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rds_datasets::{rand_cloud, uniform_dups};
 
     /// Builds a small well-separated dataset and returns (points, labels,
     /// n_groups, alpha).
@@ -599,7 +599,8 @@ mod tests {
 
     #[test]
     fn first_point_is_always_accepted() {
-        let mut s = RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
+        let mut s =
+            RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
         // R starts at 1 so the very first point lands in Sacc.
         assert_eq!(
             s.process(&Point::new(vec![3.3, 4.4])),
@@ -610,7 +611,8 @@ mod tests {
 
     #[test]
     fn duplicates_are_skipped_and_counted() {
-        let mut s = RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
+        let mut s =
+            RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
         s.process(&Point::new(vec![0.0, 0.0]));
         assert_eq!(
             s.process(&Point::new(vec![0.1, 0.0])),
@@ -621,7 +623,8 @@ mod tests {
 
     #[test]
     fn query_is_none_only_before_any_point() {
-        let mut s = RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
+        let mut s =
+            RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
         assert!(s.query().is_none());
         s.process(&Point::new(vec![1.0, 1.0]));
         assert!(s.query().is_some());
@@ -654,7 +657,9 @@ mod tests {
         let (pts, labels, _n, alpha) = small_dataset(3);
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(17)
-            .expected_len(pts.len() as u64).build().unwrap();
+            .expected_len(pts.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
 
@@ -680,7 +685,9 @@ mod tests {
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(5)
             .expected_len(pts.len() as u64)
-            .kappa0(1.0).build().unwrap(); // tight threshold to force doublings
+            .kappa0(1.0)
+            .build()
+            .unwrap(); // tight threshold to force doublings
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         assert!(s.accept_set().len() <= s.threshold());
@@ -694,7 +701,9 @@ mod tests {
             let (pts, _, _, alpha) = small_dataset(seed);
             let cfg = SamplerConfig::builder(4, alpha)
                 .seed(seed.wrapping_mul(0x9E37))
-                .expected_len(pts.len() as u64).build().unwrap();
+                .expected_len(pts.len() as u64)
+                .build()
+                .unwrap();
             let mut s = RobustL0Sampler::try_new(cfg).unwrap();
             for p in &pts {
                 s.process(p);
@@ -714,7 +723,9 @@ mod tests {
         let (pts, _, _, alpha) = small_dataset(6);
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(23)
-            .expected_len(pts.len() as u64).build().unwrap();
+            .expected_len(pts.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         let acc = s.accept_set();
@@ -735,7 +746,9 @@ mod tests {
         let (pts, labels, n, alpha) = small_dataset(7);
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(29)
-            .expected_len(pts.len() as u64).build().unwrap();
+            .expected_len(pts.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         // group sizes from ground truth
@@ -751,10 +764,7 @@ mod tests {
                 .find(|(p, _)| **p == rec.rep)
                 .map(|(_, &g)| g)
                 .expect("representative came from the stream");
-            assert_eq!(
-                rec.count, sizes[gi],
-                "count mismatch for group {gi}"
-            );
+            assert_eq!(rec.count, sizes[gi], "count mismatch for group {gi}");
         }
     }
 
@@ -763,7 +773,9 @@ mod tests {
         let (pts, _, _, alpha) = small_dataset(8);
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(31)
-            .expected_len(pts.len() as u64).build().unwrap();
+            .expected_len(pts.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         for rec in s.accept_set() {
@@ -789,7 +801,9 @@ mod tests {
         for run in 0..runs {
             let cfg = SamplerConfig::builder(4, ds.alpha)
                 .seed(run as u64 * 7919 + 13)
-                .expected_len(pts.len() as u64).build().unwrap();
+                .expected_len(pts.len() as u64)
+                .build()
+                .unwrap();
             let mut s = RobustL0Sampler::try_new(cfg).unwrap();
             feed(&mut s, &pts);
             let sample = s.query().expect("sample exists").clone();
@@ -816,7 +830,9 @@ mod tests {
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(37)
             .expected_len(pts.len() as u64)
-            .k(3).build().unwrap();
+            .k(3)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         let picks = s.query_k(3);
@@ -833,7 +849,9 @@ mod tests {
         let (pts, _, n, alpha) = small_dataset(10);
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(41)
-            .expected_len(pts.len() as u64).build().unwrap();
+            .expected_len(pts.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         // with the default generous threshold nothing is subsampled, so
@@ -850,7 +868,9 @@ mod tests {
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(43)
             .expected_len(pts.len() as u64)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         feed(&mut s, &pts);
         assert!(s.peak_words() >= s.words());
@@ -873,7 +893,9 @@ mod tests {
         let cfg = SamplerConfig::builder(4, alpha)
             .seed(47)
             .expected_len(pts.len() as u64)
-            .kappa0(1.0).build().unwrap(); // force doublings mid-batch
+            .kappa0(1.0)
+            .build()
+            .unwrap(); // force doublings mid-batch
         let mut one = RobustL0Sampler::try_new(cfg.clone()).unwrap();
         let mut per_point = BatchStats::default();
         for p in &pts {
@@ -899,15 +921,13 @@ mod tests {
         }
         // The RNG positions agree too: reservoir draws happened in the
         // same order with the same word consumption.
-        assert_eq!(
-            RngState::capture(&batched.rng),
-            RngState::capture(&one.rng)
-        );
+        assert_eq!(RngState::capture(&batched.rng), RngState::capture(&one.rng));
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut s = RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
+        let mut s =
+            RobustL0Sampler::try_new(SamplerConfig::builder(2, 0.5).build().unwrap()).unwrap();
         let stats = s.process_batch(&[]);
         assert_eq!(stats, BatchStats::default());
         assert_eq!(s.seen(), 0);

@@ -11,13 +11,13 @@ use crate::checkpoint::{check_dims, checkpoint_err, Checkpointable};
 use crate::config::SamplerConfig;
 use crate::distributed::MergedSummary;
 use crate::error::RdsError;
-use crate::infinite::{GroupRecord, ProcessOutcome, RobustL0State, RobustL0Sampler};
+use crate::infinite::{GroupRecord, ProcessOutcome, RobustL0Sampler, RobustL0State};
 use crate::sampler::{DistinctSampler, SamplerSummary};
-use serde::{Deserialize, Serialize};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rds_geometry::{JlProjection, Point};
 use rds_stream::StreamItem;
+use serde::{Deserialize, Serialize};
 
 /// A robust ℓ0-sampler for high-dimensional data that projects each point
 /// with a JL map before feeding the core Algorithm 1 structure.
@@ -125,7 +125,6 @@ impl JlRobustSampler {
     pub fn seen(&self) -> u64 {
         self.inner.seen()
     }
-
 }
 
 /// Maps a projected-space record back to the ambient space: the original
@@ -336,9 +335,9 @@ impl DistinctSampler for JlRobustSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rds_geometry::standard_normal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rds_geometry::standard_normal;
 
     /// Well-separated groups in high dimension: centers on a scaled
     /// simplex, members jittered within alpha/2.
@@ -369,7 +368,9 @@ mod tests {
         let stream = hd_stream(10, 6, dim, 1);
         let cfg = SamplerConfig::builder(dim, 0.5)
             .seed(9)
-            .expected_len(stream.len() as u64).build().unwrap();
+            .expected_len(stream.len() as u64)
+            .build()
+            .unwrap();
         let mut s = JlRobustSampler::try_new(dim, 0.5, 0.5, cfg).unwrap();
         for (p, _) in &stream {
             s.process(p);
@@ -384,7 +385,9 @@ mod tests {
         let dim = 512;
         let cfg = SamplerConfig::builder(dim, 0.5)
             .seed(10)
-            .expected_len(1 << 10).build().unwrap();
+            .expected_len(1 << 10)
+            .build()
+            .unwrap();
         let s = JlRobustSampler::try_new(dim, 0.5, 0.5, cfg).unwrap();
         assert!(s.projected_dim() < dim);
         assert!(s.projected_dim() > 0);
@@ -398,7 +401,9 @@ mod tests {
         let stream = hd_stream(8, 8, dim, 2);
         let cfg = SamplerConfig::builder(dim, 0.5)
             .seed(11)
-            .expected_len(stream.len() as u64).build().unwrap();
+            .expected_len(stream.len() as u64)
+            .build()
+            .unwrap();
         let mut s = JlRobustSampler::try_new(dim, 0.5, 0.5, cfg).unwrap();
         let mut accepted_or_rejected = 0;
         for (p, _) in &stream {
@@ -413,9 +418,13 @@ mod tests {
 
     #[test]
     fn mismatched_dim_rejected() {
-        let err =
-            JlRobustSampler::try_new(64, 0.5, 0.5, SamplerConfig::builder(32, 0.5).build().unwrap())
-                .unwrap_err();
+        let err = JlRobustSampler::try_new(
+            64,
+            0.5,
+            0.5,
+            SamplerConfig::builder(32, 0.5).build().unwrap(),
+        )
+        .unwrap_err();
         assert!(matches!(err, RdsError::InvalidDimension { dim: 32 }));
     }
 }

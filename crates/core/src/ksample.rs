@@ -12,11 +12,11 @@ use crate::checkpoint::{checkpoint_err, Checkpointable};
 use crate::config::SamplerConfig;
 use crate::distributed::MergedSummary;
 use crate::error::RdsError;
-use crate::infinite::{BatchStats, GroupRecord, ProcessOutcome, RobustL0State, RobustL0Sampler};
+use crate::infinite::{BatchStats, GroupRecord, ProcessOutcome, RobustL0Sampler, RobustL0State};
 use crate::sampler::DistinctSampler;
-use serde::{Deserialize, Serialize};
 use rds_geometry::Point;
 use rds_stream::StreamItem;
+use serde::{Deserialize, Serialize};
 
 /// Draws `k` distinct groups per query (sampling without replacement) in
 /// the infinite window.
@@ -274,7 +274,9 @@ mod tests {
 
     #[test]
     fn without_replacement_returns_distinct() {
-        let mut s = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(2).build().unwrap(), 5).unwrap();
+        let mut s =
+            KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(2).build().unwrap(), 5)
+                .unwrap();
         feed_groups(400, 40, &mut |p| s.process(p));
         let picks = s.sample();
         assert_eq!(picks.len(), 5);
@@ -288,21 +290,29 @@ mod tests {
     #[test]
     fn without_replacement_saturates_at_group_count() {
         // only 2 groups exist; asking for 5 yields 2
-        let mut s = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(3).build().unwrap(), 5).unwrap();
+        let mut s =
+            KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).seed(3).build().unwrap(), 5)
+                .unwrap();
         feed_groups(50, 2, &mut |p| s.process(p));
         assert_eq!(s.sample().len(), 2);
     }
 
     #[test]
     fn threshold_scales_with_k() {
-        let one = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 1).unwrap();
-        let five = KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 5).unwrap();
+        let one =
+            KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 1).unwrap();
+        let five =
+            KDistinctSampler::try_new(SamplerConfig::builder(1, 0.5).build().unwrap(), 5).unwrap();
         assert_eq!(five.inner().threshold(), 5 * one.inner().threshold());
     }
 
     #[test]
     fn with_replacement_returns_k_samples() {
-        let mut s = KWithReplacementSampler::try_new(SamplerConfig::builder(1, 0.5).seed(4).build().unwrap(), 4).unwrap();
+        let mut s = KWithReplacementSampler::try_new(
+            SamplerConfig::builder(1, 0.5).seed(4).build().unwrap(),
+            4,
+        )
+        .unwrap();
         feed_groups(300, 30, &mut |p| s.process(p));
         assert_eq!(s.sample().len(), 4);
         assert_eq!(s.k(), 4);
@@ -314,9 +324,13 @@ mod tests {
         let mut agreements = 0;
         for seed in 0..20u64 {
             let mut s = KWithReplacementSampler::try_new(
-                SamplerConfig::builder(1, 0.5).seed(seed * 31 + 1).build().unwrap(),
+                SamplerConfig::builder(1, 0.5)
+                    .seed(seed * 31 + 1)
+                    .build()
+                    .unwrap(),
                 2,
-            ).unwrap();
+            )
+            .unwrap();
             feed_groups(200, 20, &mut |p| s.process(p));
             let picks = s.sample();
             if picks[0] == picks[1] {

@@ -9,31 +9,26 @@ mod checkpoint;
 mod config;
 mod distributed;
 mod error;
+mod f0;
 mod heavy;
 mod infinite;
-mod merge_index;
-mod sampler;
-mod store;
-mod sw_fixed;
-mod f0;
 mod jl_adapter;
 mod ksample;
 mod lsh;
+mod merge_index;
 pub mod persist;
+mod sampler;
+mod store;
+mod sw_fixed;
 mod sw_hier;
 
 pub use checkpoint::{Checkpointable, RngState};
 pub use config::{SamplerConfig, SamplerConfigBuilder, SamplerContext, MAX_LEVEL};
 pub use distributed::MergedSummary;
 pub use error::RdsError;
+pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B, FM_PHI};
 pub use heavy::{HeavyGroup, RobustHeavyHitters};
 pub use infinite::{BatchStats, GroupRecord, ProcessOutcome, RobustL0Sampler, RobustL0State};
-pub use sampler::{DistinctSampler, SamplerSummary, WindowSummary};
-pub use store::CandidateStore;
-pub use sw_fixed::{
-    FixedRateLevelState, FixedRateWindowSampler, FixedRateWindowState, WindowGroupEntry,
-};
-pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B, FM_PHI};
 pub use jl_adapter::{JlRobustSampler, JlSamplerState, JlSummary};
 pub use ksample::{
     KDistinctSampler, KDistinctState, KWithReplacementSampler, KWithReplacementState,
@@ -41,5 +36,10 @@ pub use ksample::{
 pub use lsh::{
     LshPartitioner, MetricGroup, MetricRobustSampler, MetricSamplerState, MetricSummary,
     SimHashPartitioner,
+};
+pub use sampler::{DistinctSampler, SamplerSummary, WindowSummary};
+pub use store::CandidateStore;
+pub use sw_fixed::{
+    FixedRateLevelState, FixedRateWindowSampler, FixedRateWindowState, WindowGroupEntry,
 };
 pub use sw_hier::{GroupSample, SlidingWindowSampler, SlidingWindowState};

@@ -235,9 +235,8 @@ impl serde::Serialize for SimHashPartitioner {
 impl serde::Deserialize for SimHashPartitioner {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let field = |name: &str| value.get(name).unwrap_or(&serde::Value::Null);
-        let err = |name: &str, e: serde::DeError| {
-            serde::DeError::custom(format!("field `{name}`: {e}"))
-        };
+        let err =
+            |name: &str, e: serde::DeError| serde::DeError::custom(format!("field `{name}`: {e}"));
         let dim = usize::from_value(field("dim")).map_err(|e| err("dim", e))?;
         let n_bits = usize::from_value(field("n_bits")).map_err(|e| err("n_bits", e))?;
         let theta = f64::from_value(field("theta")).map_err(|e| err("theta", e))?;
@@ -711,7 +710,9 @@ impl<P: LshPartitioner + Clone + PartialEq> SamplerSummary for MetricSummary<P> 
         let mut idx: Vec<usize> = (0..self.acc.len()).collect();
         idx.shuffle(&mut rng);
         idx.truncate(k);
-        idx.into_iter().map(|i| metric_record(&self.acc[i])).collect()
+        idx.into_iter()
+            .map(|i| metric_record(&self.acc[i]))
+            .collect()
     }
 }
 
@@ -739,7 +740,9 @@ impl<P: LshPartitioner + Clone + PartialEq> DistinctSampler for MetricRobustSamp
         let mut idx: Vec<usize> = (0..self.acc.len()).collect();
         idx.shuffle(&mut self.rng);
         idx.truncate(k);
-        idx.into_iter().map(|i| metric_record(&self.acc[i])).collect()
+        idx.into_iter()
+            .map(|i| metric_record(&self.acc[i]))
+            .collect()
     }
 
     fn f0_estimate(&self) -> f64 {
@@ -821,7 +824,10 @@ mod tests {
         let part = SimHashPartitioner::try_new(8, 12, 0.05, 1).unwrap();
         let p = Point::new(vec![0.5; 8]);
         assert_eq!(part.bucket_key(&p), part.bucket_key(&p));
-        assert!(part.same_group(&p, &p.scale(3.0)), "angle 0 regardless of norm");
+        assert!(
+            part.same_group(&p, &p.scale(3.0)),
+            "angle 0 regardless of norm"
+        );
     }
 
     #[test]
@@ -1003,12 +1009,9 @@ mod tests {
         // disagree with the partitioner's own dimension used to restore
         // Ok and then panic (debug) or silently truncate (release).
         use crate::checkpoint::Checkpointable;
-        let mut donor = MetricRobustSampler::try_new(
-            SimHashPartitioner::try_new(2, 8, 0.05, 3).unwrap(),
-            8,
-            4,
-        )
-        .unwrap();
+        let mut donor =
+            MetricRobustSampler::try_new(SimHashPartitioner::try_new(2, 8, 0.05, 3).unwrap(), 8, 4)
+                .unwrap();
         donor.process(&Point::new(vec![1.0, 0.0]));
         donor.process(&Point::new(vec![0.0, 1.0]));
         let mut state = donor.checkpoint_state();

@@ -288,11 +288,7 @@ impl Serialize for WindowSummary {
             ("cfg".to_string(), self.cfg.to_value()),
             (
                 "entries".to_string(),
-                serde::Value::Seq(
-                    self.entries()
-                        .map(Serialize::to_value)
-                        .collect(),
-                ),
+                serde::Value::Seq(self.entries().map(Serialize::to_value).collect()),
             ),
         ])
     }
@@ -462,7 +458,9 @@ mod tests {
     fn cfg(seed: u64) -> SamplerConfig {
         SamplerConfig::builder(1, 0.5)
             .seed(seed)
-            .expected_len(1 << 12).build().unwrap()
+            .expected_len(1 << 12)
+            .build()
+            .unwrap()
     }
 
     /// The generic helper all backends share in the engine/facade.

@@ -321,8 +321,10 @@ impl CandidateStore {
             remap[slot as usize] = order.len() as u32;
             order.push(slot);
         }
-        let mut reps_old: Vec<Option<Point>> =
-            std::mem::take(&mut self.reps).into_iter().map(Some).collect();
+        let mut reps_old: Vec<Option<Point>> = std::mem::take(&mut self.reps)
+            .into_iter()
+            .map(Some)
+            .collect();
         let mut reservoirs_old: Vec<Option<Point>> = std::mem::take(&mut self.reservoirs)
             .into_iter()
             .map(Some)
@@ -387,8 +389,7 @@ impl CandidateStore {
     /// vectors without cloning any point.
     pub fn into_records(self) -> (Vec<GroupRecord>, Vec<GroupRecord>) {
         let mut reps: Vec<Option<Point>> = self.reps.into_iter().map(Some).collect();
-        let mut reservoirs: Vec<Option<Point>> =
-            self.reservoirs.into_iter().map(Some).collect();
+        let mut reservoirs: Vec<Option<Point>> = self.reservoirs.into_iter().map(Some).collect();
         let mut take_list = |slots: &[u32]| -> Vec<GroupRecord> {
             let mut out = Vec::with_capacity(slots.len());
             for &slot in slots {

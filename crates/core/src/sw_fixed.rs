@@ -128,12 +128,7 @@ impl FixedRateWindowSampler {
 
     /// Creates a sampler sharing an existing context (used by Algorithm 3,
     /// whose levels must agree on the grid and hash function).
-    pub fn with_context(
-        ctx: Arc<SamplerContext>,
-        window: Window,
-        level: u32,
-        seed: u64,
-    ) -> Self {
+    pub fn with_context(ctx: Arc<SamplerContext>, window: Window, level: u32, seed: u64) -> Self {
         Self {
             ctx,
             window,
@@ -282,7 +277,11 @@ impl FixedRateWindowSampler {
 
     /// Words of memory used by the entries.
     pub fn words(&self) -> usize {
-        self.entries.iter().map(WindowGroupEntry::words).sum::<usize>() + 2
+        self.entries
+            .iter()
+            .map(WindowGroupEntry::words)
+            .sum::<usize>()
+            + 2
     }
 
     /// Mutable duplicate-update for Algorithm 3's match pass: like
@@ -598,7 +597,11 @@ mod tests {
     }
 
     fn cfg() -> SamplerConfig {
-        SamplerConfig::builder(1, 0.5).seed(7).expected_len(64).build().unwrap()
+        SamplerConfig::builder(1, 0.5)
+            .seed(7)
+            .expected_len(64)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -636,7 +639,10 @@ mod tests {
         assert_eq!(s.entries().len(), 2, "group should still be alive");
         s.process(&item(60.0, 5)); // now the first group's last point (t=2) expires
         let reps: Vec<f64> = s.entries().iter().map(|e| e.rep.get(0)).collect();
-        assert!(!reps.contains(&0.0), "expired group still present: {reps:?}");
+        assert!(
+            !reps.contains(&0.0),
+            "expired group still present: {reps:?}"
+        );
     }
 
     #[test]
@@ -679,7 +685,11 @@ mod tests {
     #[test]
     fn level_sampling_thins_the_entries() {
         // At a high level most groups are ignored.
-        let cfg = SamplerConfig::builder(1, 0.5).seed(11).expected_len(1 << 12).build().unwrap();
+        let cfg = SamplerConfig::builder(1, 0.5)
+            .seed(11)
+            .expected_len(1 << 12)
+            .build()
+            .unwrap();
         let mut s = FixedRateWindowSampler::new(cfg, Window::Sequence(4096), 6);
         for i in 0..4096u64 {
             s.process(&item(i as f64 * 10.0, i));
@@ -694,7 +704,11 @@ mod tests {
 
     #[test]
     fn split_promotes_prefix_and_keeps_suffix_here() {
-        let cfg = SamplerConfig::builder(1, 0.5).seed(13).expected_len(1 << 10).build().unwrap();
+        let cfg = SamplerConfig::builder(1, 0.5)
+            .seed(13)
+            .expected_len(1 << 10)
+            .build()
+            .unwrap();
         let mut s = FixedRateWindowSampler::new(cfg, Window::Sequence(1024), 0);
         for i in 0..64u64 {
             s.process(&item(i as f64 * 10.0, i));
@@ -732,7 +746,8 @@ mod tests {
     fn absorb_preserves_order() {
         let cfg_ = cfg();
         let ctx = Arc::new(SamplerContext::new(cfg_));
-        let mut lower = FixedRateWindowSampler::with_context(ctx.clone(), Window::Sequence(64), 0, 1);
+        let mut lower =
+            FixedRateWindowSampler::with_context(ctx.clone(), Window::Sequence(64), 0, 1);
         let mut upper = FixedRateWindowSampler::with_context(ctx, Window::Sequence(64), 1, 1);
         for i in 0..32u64 {
             lower.process(&item(i as f64 * 10.0, i));

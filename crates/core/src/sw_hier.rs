@@ -40,13 +40,13 @@ use crate::error::RdsError;
 use crate::infinite::{GroupRecord, ProcessOutcome};
 use crate::sampler::{window_entry_record, DistinctSampler, EntryChunk, WindowSummary};
 use crate::sw_fixed::{FixedRateLevelState, FixedRateWindowSampler, WindowGroupEntry};
-use serde::{Deserialize, Serialize};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{RngExt, SeedableRng};
 use rds_geometry::Point;
 use rds_metrics::SpaceMeter;
 use rds_stream::{Stamp, StreamItem, Window};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What the query of a sliding-window sampler returns: the sampled group's
@@ -607,7 +607,9 @@ mod tests {
     fn cfg(seed: u64) -> SamplerConfig {
         SamplerConfig::builder(1, 0.5)
             .seed(seed)
-            .expected_len(1 << 12).build().unwrap()
+            .expected_len(1 << 12)
+            .build()
+            .unwrap()
     }
 
     /// Brute-force ground truth: group ids of live points under a
@@ -699,9 +701,13 @@ mod tests {
     #[test]
     fn cascade_keeps_levels_at_threshold() {
         let mut s = SlidingWindowSampler::try_new(
-            SamplerConfig { kappa0: 0.5, ..cfg(6) }, // tight threshold to force splits
+            SamplerConfig {
+                kappa0: 0.5,
+                ..cfg(6)
+            }, // tight threshold to force splits
             Window::Sequence(256),
-        ).unwrap();
+        )
+        .unwrap();
         let mut over_budget_steps = 0u64;
         for i in 0..2000u64 {
             s.process(&item(((i * 13) % 512) as f64 * 10.0, i));
@@ -731,7 +737,14 @@ mod tests {
 
     #[test]
     fn levels_above_zero_only_hold_rate_passing_accepts() {
-        let mut s = SlidingWindowSampler::try_new(SamplerConfig { kappa0: 0.5, ..cfg(7) }, Window::Sequence(128)).unwrap();
+        let mut s = SlidingWindowSampler::try_new(
+            SamplerConfig {
+                kappa0: 0.5,
+                ..cfg(7)
+            },
+            Window::Sequence(128),
+        )
+        .unwrap();
         for i in 0..1500u64 {
             s.process(&item(((i * 29) % 300) as f64 * 10.0, i));
         }
@@ -758,10 +771,7 @@ mod tests {
             ));
         }
         assert!(s.query().is_some());
-        s.process(&StreamItem::new(
-            Point::new(vec![990.0]),
-            Stamp::new(5, 20),
-        ));
+        s.process(&StreamItem::new(Point::new(vec![990.0]), Stamp::new(5, 20)));
         // the burst expired; only the last group is live
         let q = s.query().expect("non-empty");
         assert_eq!(q.latest, Point::new(vec![990.0]));
@@ -771,7 +781,14 @@ mod tests {
     fn rejected_group_refresh_keeps_sampler_answerable() {
         // Regression test for deviation 3: force a scenario where the only
         // live group was once rejected at a high level, then refreshed.
-        let mut s = SlidingWindowSampler::try_new(SamplerConfig { kappa0: 0.5, ..cfg(9) }, Window::Sequence(64)).unwrap();
+        let mut s = SlidingWindowSampler::try_new(
+            SamplerConfig {
+                kappa0: 0.5,
+                ..cfg(9)
+            },
+            Window::Sequence(64),
+        )
+        .unwrap();
         // Fill with many groups to push entries upward (some rejected).
         for i in 0..512u64 {
             s.process(&item(((i * 13) % 128) as f64 * 10.0, i));
@@ -804,9 +821,12 @@ mod tests {
                 SamplerConfig::builder(1, 0.5)
                     .seed(run * 101 + 7)
                     .expected_len(240)
-                    .kappa0(1.0).build().unwrap(),
+                    .kappa0(1.0)
+                    .build()
+                    .unwrap(),
                 Window::Sequence(2 * n_groups),
-            ).unwrap();
+            )
+            .unwrap();
             for it in &stream {
                 s.process(it);
             }
@@ -825,9 +845,14 @@ mod tests {
     #[test]
     fn k_query_returns_distinct_groups() {
         let mut s = SlidingWindowSampler::try_new(
-            SamplerConfig { k: 3, kappa0: 1.0, ..cfg(10) },
+            SamplerConfig {
+                k: 3,
+                kappa0: 1.0,
+                ..cfg(10)
+            },
             Window::Sequence(64),
-        ).unwrap();
+        )
+        .unwrap();
         for i in 0..200u64 {
             s.process(&item((i % 40) as f64 * 10.0, i));
         }
@@ -835,7 +860,9 @@ mod tests {
         assert_eq!(picks.len(), 3);
         for i in 0..picks.len() {
             for j in (i + 1)..picks.len() {
-                assert!(!picks[i].representative.within(&picks[j].representative, 0.5));
+                assert!(!picks[i]
+                    .representative
+                    .within(&picks[j].representative, 0.5));
             }
         }
     }
@@ -862,9 +889,12 @@ mod tests {
             SamplerConfig::builder(1, 0.5)
                 .seed(12)
                 .expected_len(1 << 14)
-                .kappa0(1.0).build().unwrap(),
+                .kappa0(1.0)
+                .build()
+                .unwrap(),
             Window::Sequence(4096),
-        ).unwrap();
+        )
+        .unwrap();
         for i in 0..16384u64 {
             s.process(&item((i % 8192) as f64 * 10.0, i));
         }

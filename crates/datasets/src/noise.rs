@@ -99,7 +99,12 @@ pub fn near_duplicate<R: Rng + ?Sized>(x: &Point, rng: &mut R) -> Point {
     x.add(&zhat)
 }
 
-fn build<R: Rng + ?Sized>(name: &str, base: &[Point], dup_counts: &[usize], rng: &mut R) -> Dataset {
+fn build<R: Rng + ?Sized>(
+    name: &str,
+    base: &[Point],
+    dup_counts: &[usize],
+    rng: &mut R,
+) -> Dataset {
     assert_eq!(base.len(), dup_counts.len());
     assert!(!base.is_empty(), "base dataset must be non-empty");
     debug_assert!(
@@ -214,7 +219,9 @@ mod tests {
         }
         let mut dup_counts: Vec<usize> = sizes.iter().map(|s| s - 1).collect();
         dup_counts.sort_unstable_by(|a, b| b.cmp(a));
-        let mut expect: Vec<usize> = (1..=n).map(|i| (n as f64 / i as f64).ceil() as usize).collect();
+        let mut expect: Vec<usize> = (1..=n)
+            .map(|i| (n as f64 / i as f64).ceil() as usize)
+            .collect();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(dup_counts, expect);
     }

@@ -981,15 +981,18 @@ impl ShardedEngine<SlidingWindowSampler> {
     ) -> Result<Self, RdsError> {
         // Validate window + threshold once up front so the factory cannot
         // panic (try_with_factory validates the config itself).
-        window.len().ok_or(RdsError::UnboundedWindow).and_then(|w| {
-            if w == 0 {
-                Err(RdsError::EmptyWindow)
-            } else if threshold == 0 {
-                Err(RdsError::InvalidThreshold)
-            } else {
-                Ok(())
-            }
-        })?;
+        window
+            .len()
+            .ok_or(RdsError::UnboundedWindow)
+            .and_then(|w| {
+                if w == 0 {
+                    Err(RdsError::EmptyWindow)
+                } else if threshold == 0 {
+                    Err(RdsError::InvalidThreshold)
+                } else {
+                    Ok(())
+                }
+            })?;
         Self::try_with_factory(&cfg, n_shards, |_| {
             SlidingWindowSampler::try_with_threshold(cfg.clone(), window, threshold)
                 // lint:allow(L1) window and threshold were validated by
@@ -1012,12 +1015,16 @@ mod tests {
     fn cfg(seed: u64) -> SamplerConfig {
         SamplerConfig::builder(1, 0.5)
             .seed(seed)
-            .expected_len(2048).build().unwrap()
+            .expected_len(2048)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn counts_groups_exactly_when_nothing_subsamples() {
-        let mut engine = ShardedEngine::try_new(cfg(1), 4).unwrap().with_batch_size(32);
+        let mut engine = ShardedEngine::try_new(cfg(1), 4)
+            .unwrap()
+            .with_batch_size(32);
         for i in 0..512u64 {
             engine.ingest(grouped_point(i, 16));
         }
@@ -1030,7 +1037,9 @@ mod tests {
     fn snapshot_is_non_draining_and_flush_is_explicit() {
         // The satellite contract: reads cover only flushed items and do
         // not silently ship the batch buffers.
-        let mut engine = ShardedEngine::try_new(cfg(30), 2).unwrap().with_batch_size(1024);
+        let mut engine = ShardedEngine::try_new(cfg(30), 2)
+            .unwrap()
+            .with_batch_size(1024);
         for i in 0..100u64 {
             engine.ingest(grouped_point(i, 10));
         }
@@ -1051,7 +1060,10 @@ mod tests {
         let n_groups = 300u64;
         let eps = 0.5f64;
         let threshold = (16.0 / (eps * eps)).ceil() as usize;
-        let base = SamplerConfig { expected_len: 6000, ..cfg(2) };
+        let base = SamplerConfig {
+            expected_len: 6000,
+            ..cfg(2)
+        };
         let mut single = RobustL0Sampler::try_with_threshold(base.clone(), threshold).unwrap();
         let mut engine = ShardedEngine::try_with_threshold(base, 8, threshold).unwrap();
         for i in 0..6000u64 {
@@ -1075,7 +1087,9 @@ mod tests {
     #[test]
     fn sharded_ingestion_is_deterministic() {
         let run = || {
-            let mut engine = ShardedEngine::try_new(cfg(3), 3).unwrap().with_batch_size(7);
+            let mut engine = ShardedEngine::try_new(cfg(3), 3)
+                .unwrap()
+                .with_batch_size(7);
             for i in 0..600u64 {
                 engine.ingest(grouped_point(i, 50));
             }
@@ -1086,7 +1100,9 @@ mod tests {
 
     #[test]
     fn mid_stream_queries_do_not_disturb_ingestion() {
-        let mut engine = ShardedEngine::try_new(cfg(4), 2).unwrap().with_batch_size(16);
+        let mut engine = ShardedEngine::try_new(cfg(4), 2)
+            .unwrap()
+            .with_batch_size(16);
         for i in 0..128u64 {
             engine.ingest(grouped_point(i, 8));
         }
@@ -1125,7 +1141,10 @@ mod tests {
         assert_eq!(picks.len(), 5);
         for i in 0..picks.len() {
             for j in (i + 1)..picks.len() {
-                assert!(!picks[i].rep.within(&picks[j].rep, 0.5), "duplicate entities");
+                assert!(
+                    !picks[i].rep.within(&picks[j].rep, 0.5),
+                    "duplicate entities"
+                );
             }
         }
     }
@@ -1231,8 +1250,9 @@ mod tests {
         let n_groups = 16usize;
         let mut hist = rds_metrics::SampleHistogram::new(n_groups);
         for run in 0..300u64 {
-            let mut engine =
-                ShardedEngine::try_new(cfg(run * 131 + 11), 4).unwrap().with_batch_size(32);
+            let mut engine = ShardedEngine::try_new(cfg(run * 131 + 11), 4)
+                .unwrap()
+                .with_batch_size(32);
             for i in 0..256u64 {
                 engine.ingest(grouped_point(i, n_groups as u64));
             }
@@ -1253,14 +1273,19 @@ mod tests {
         // groups, and agrees with the unsharded sampler when nothing
         // subsamples.
         let w = 64u64;
-        let mut engine = ShardedEngine::try_sliding_window(cfg(21), Window::Sequence(w), 4).unwrap()
+        let mut engine = ShardedEngine::try_sliding_window(cfg(21), Window::Sequence(w), 4)
+            .unwrap()
             .with_batch_size(16);
         // Phase 1: 16 groups cycling; all 16 live at any time after warmup.
         for i in 0..512u64 {
             engine.ingest(grouped_point(i, 16));
         }
         engine.flush();
-        assert_eq!(engine.f0_estimate(), 16.0, "all 16 groups live in the window");
+        assert_eq!(
+            engine.f0_estimate(),
+            16.0,
+            "all 16 groups live in the window"
+        );
         // Phase 2: only group 0 streams; after w items everything else
         // expired — including on shards that received none of the new
         // items (the advance-before-snapshot path).
@@ -1282,8 +1307,9 @@ mod tests {
     fn sharded_window_matches_unsharded_on_live_group_count() {
         let w = 128u64;
         let mut single = SlidingWindowSampler::try_new(cfg(22), Window::Sequence(w)).unwrap();
-        let mut engine =
-            ShardedEngine::try_sliding_window(cfg(22), Window::Sequence(w), 4).unwrap().with_batch_size(8);
+        let mut engine = ShardedEngine::try_sliding_window(cfg(22), Window::Sequence(w), 4)
+            .unwrap()
+            .with_batch_size(8);
         for i in 0..1024u64 {
             let p = grouped_point(i, 32);
             single.process(&StreamItem::new(p.clone(), Stamp::at(i)));
@@ -1297,8 +1323,9 @@ mod tests {
 
     #[test]
     fn sharded_time_window_expires_by_timestamp() {
-        let mut engine =
-            ShardedEngine::try_sliding_window(cfg(23), Window::Time(10), 3).unwrap().with_batch_size(4);
+        let mut engine = ShardedEngine::try_sliding_window(cfg(23), Window::Time(10), 3)
+            .unwrap()
+            .with_batch_size(4);
         // burst of 6 groups at time 0
         for g in 0..6u64 {
             engine.ingest_item(StreamItem::new(
@@ -1330,7 +1357,10 @@ mod tests {
             ShardedEngine::try_sliding_window(cfg(9), Window::Infinite, 2),
             Err(RdsError::UnboundedWindow)
         ));
-        let bad = SamplerConfig { alpha: f64::NAN, ..cfg(9) };
+        let bad = SamplerConfig {
+            alpha: f64::NAN,
+            ..cfg(9)
+        };
         assert!(matches!(
             ShardedEngine::try_new(bad, 2),
             Err(RdsError::InvalidAlpha { .. })
@@ -1340,7 +1370,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch size must be at least 1")]
     fn zero_batch_size_rejected() {
-        let _ = ShardedEngine::try_new(cfg(10), 1).unwrap().with_batch_size(0);
+        let _ = ShardedEngine::try_new(cfg(10), 1)
+            .unwrap()
+            .with_batch_size(0);
     }
 
     #[test]
@@ -1355,8 +1387,12 @@ mod tests {
     fn checkpoint_restore_continues_bit_identically() {
         // The engine-level crash-recovery contract: checkpoint → drop →
         // restore → continue must equal an uninterrupted run exactly.
-        let mut uninterrupted = ShardedEngine::try_new(cfg(40), 3).unwrap().with_batch_size(16);
-        let mut first_half = ShardedEngine::try_new(cfg(40), 3).unwrap().with_batch_size(16);
+        let mut uninterrupted = ShardedEngine::try_new(cfg(40), 3)
+            .unwrap()
+            .with_batch_size(16);
+        let mut first_half = ShardedEngine::try_new(cfg(40), 3)
+            .unwrap()
+            .with_batch_size(16);
         for i in 0..300u64 {
             let p = grouped_point(i, 25);
             uninterrupted.ingest(p.clone());
@@ -1366,8 +1402,7 @@ mod tests {
         assert_eq!(chk.seen(), 300);
         assert_eq!(chk.n_shards(), 3);
         drop(first_half); // the "crash"
-        let mut restored =
-            ShardedEngine::<RobustL0Sampler>::try_restore(chk).expect("restores");
+        let mut restored = ShardedEngine::<RobustL0Sampler>::try_restore(chk).expect("restores");
         assert_eq!(restored.seen(), 300);
         for i in 300..600u64 {
             let p = grouped_point(i, 25);
@@ -1382,19 +1417,22 @@ mod tests {
         for (x, y) in a.accept_set().iter().zip(b.accept_set()) {
             assert_eq!(x.rep, y.rep);
             assert_eq!(x.count, y.count);
-            assert_eq!(x.reservoir, y.reservoir, "reservoir RNG position must survive");
+            assert_eq!(
+                x.reservoir, y.reservoir,
+                "reservoir RNG position must survive"
+            );
         }
     }
 
     #[test]
     fn windowed_checkpoint_survives_json_and_keeps_expiring() {
         let w = 64u64;
-        let mut uninterrupted =
-            ShardedEngine::try_sliding_window(cfg(41), Window::Sequence(w), 2).unwrap()
-                .with_batch_size(8);
-        let mut first_half =
-            ShardedEngine::try_sliding_window(cfg(41), Window::Sequence(w), 2).unwrap()
-                .with_batch_size(8);
+        let mut uninterrupted = ShardedEngine::try_sliding_window(cfg(41), Window::Sequence(w), 2)
+            .unwrap()
+            .with_batch_size(8);
+        let mut first_half = ShardedEngine::try_sliding_window(cfg(41), Window::Sequence(w), 2)
+            .unwrap()
+            .with_batch_size(8);
         for i in 0..256u64 {
             let p = grouped_point(i, 16);
             uninterrupted.ingest_item(StreamItem::new(p.clone(), Stamp::at(i)));
@@ -1415,7 +1453,11 @@ mod tests {
         }
         uninterrupted.flush();
         restored.flush();
-        assert_eq!(restored.f0_estimate(), 1.0, "window must keep sliding after restore");
+        assert_eq!(
+            restored.f0_estimate(),
+            1.0,
+            "window must keep sliding after restore"
+        );
         assert_eq!(uninterrupted.f0_estimate(), restored.f0_estimate());
         assert_eq!(restored.seen(), uninterrupted.seen());
     }
@@ -1463,8 +1505,7 @@ mod tests {
             engine.ingest(grouped_point(i, 5));
         }
         let mut chk = engine.checkpoint();
-        let mut foreign =
-            SlidingWindowSampler::try_new(cfg(44), Window::Sequence(6400)).unwrap();
+        let mut foreign = SlidingWindowSampler::try_new(cfg(44), Window::Sequence(6400)).unwrap();
         foreign.process(&StreamItem::new(Point::new(vec![1.0]), Stamp::at(0)));
         chk.states[0] = rds_core::Checkpointable::checkpoint_state(&foreign);
         match ShardedEngine::<SlidingWindowSampler>::try_restore(chk) {

@@ -248,7 +248,12 @@ struct FoldSearchState<'a, S, F> {
     visit: &'a mut F,
 }
 
-fn search_fold<S, F>(st: &mut FoldSearchState<'_, S, F>, depth: usize, acc_sq: f64, acc: u64) -> bool
+fn search_fold<S, F>(
+    st: &mut FoldSearchState<'_, S, F>,
+    depth: usize,
+    acc_sq: f64,
+    acc: u64,
+) -> bool
 where
     S: FnMut(u64, i64) -> u64,
     F: FnMut(&[i64], u64) -> bool,
@@ -416,9 +421,8 @@ mod tests {
         // The fold variant must enumerate exactly the cells of the plain
         // DFS, in the same order, and the carried value at each leaf must
         // equal folding the leaf's coordinates from scratch.
-        let step = |acc: u64, c: i64| {
-            acc.rotate_left(7) ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        };
+        let step =
+            |acc: u64, c: i64| acc.rotate_left(7) ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = StdRng::seed_from_u64(77);
         for dim in 1..=4usize {
             for _ in 0..40 {
@@ -447,11 +451,17 @@ mod tests {
         let g = Grid::with_offset(2, 1.0, vec![0.0, 0.0]);
         let p = Point::new(vec![1.0001, 1.0001]);
         let mut visited = 0usize;
-        let stopped =
-            for_each_adjacent_cell_fold(&g, &p, 0.9, 0, |a, c| a ^ c as u64, |_: &[i64], _| {
+        let stopped = for_each_adjacent_cell_fold(
+            &g,
+            &p,
+            0.9,
+            0,
+            |a, c| a ^ c as u64,
+            |_: &[i64], _| {
                 visited += 1;
                 visited == 2
-            });
+            },
+        );
         assert!(stopped);
         assert_eq!(visited, 2);
     }
@@ -463,10 +473,17 @@ mod tests {
             let g = Grid::random(3, 1.0, &mut rng);
             let p = Point::new((0..3).map(|_| rng.random_range(-4.0..4.0)).collect());
             let mut first: Option<Vec<i64>> = None;
-            for_each_adjacent_cell_fold(&g, &p, 0.8, 0, |a, _| a, |c: &[i64], _| {
-                first = Some(c.to_vec());
-                true
-            });
+            for_each_adjacent_cell_fold(
+                &g,
+                &p,
+                0.8,
+                0,
+                |a, _| a,
+                |c: &[i64], _| {
+                    first = Some(c.to_vec());
+                    true
+                },
+            );
             assert_eq!(first.as_deref(), Some(&*g.cell_of(&p)));
         }
     }
@@ -479,12 +496,22 @@ mod tests {
             let g = Grid::with_offset(dim, 1.0, vec![0.0; dim]);
             let p = Point::new(vec![1e300; dim]);
             let cells = adjacent_cells(&g, &p, 0.5);
-            assert_eq!(cells.first().map(|c| c.to_vec()), Some(g.cell_of(&p).to_vec()));
+            assert_eq!(
+                cells.first().map(|c| c.to_vec()),
+                Some(g.cell_of(&p).to_vec())
+            );
             let mut folded = 0;
-            for_each_adjacent_cell_fold(&g, &p, 0.5, 0, |a, _| a, |_: &[i64], _| {
-                folded += 1;
-                false
-            });
+            for_each_adjacent_cell_fold(
+                &g,
+                &p,
+                0.5,
+                0,
+                |a, _| a,
+                |_: &[i64], _| {
+                    folded += 1;
+                    false
+                },
+            );
             assert_eq!(folded, cells.len());
         }
     }

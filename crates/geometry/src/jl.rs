@@ -91,10 +91,7 @@ impl JlProjection {
         let coords = (0..self.out_dim)
             .map(|r| {
                 let row = &self.mat[r * self.in_dim..(r + 1) * self.in_dim];
-                row.iter()
-                    .zip(p.coords().iter())
-                    .map(|(a, b)| a * b)
-                    .sum()
+                row.iter().zip(p.coords().iter()).map(|(a, b)| a * b).sum()
             })
             .collect();
         Point::new(coords)

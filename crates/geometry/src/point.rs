@@ -50,19 +50,15 @@ impl Clone for Point {
 // violates the grid arithmetic's assumptions downstream.
 impl Deserialize for Point {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let coords = Vec::<f64>::from_value(
-            value.get("coords").unwrap_or(&serde::Value::Null),
-        )
-        .map_err(|e| serde::DeError::custom(format!("field `coords`: {e}")))?;
+        let coords = Vec::<f64>::from_value(value.get("coords").unwrap_or(&serde::Value::Null))
+            .map_err(|e| serde::DeError::custom(format!("field `coords`: {e}")))?;
         if coords.is_empty() {
             return Err(serde::DeError::custom(
                 "a point must have at least 1 dimension",
             ));
         }
         if !coords.iter().all(|c| c.is_finite()) {
-            return Err(serde::DeError::custom(
-                "point coordinates must be finite",
-            ));
+            return Err(serde::DeError::custom("point coordinates must be finite"));
         }
         Ok(Self {
             coords: coords.into_boxed_slice(),

@@ -228,7 +228,10 @@ mod tests {
             level_sampled_slice(&hashes, level, &mut bits);
             assert_eq!(
                 bits,
-                hashes.iter().map(|&h| level_sampled(h, level)).collect::<Vec<_>>()
+                hashes
+                    .iter()
+                    .map(|&h| level_sampled(h, level))
+                    .collect::<Vec<_>>()
             );
         }
     }

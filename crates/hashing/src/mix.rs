@@ -120,10 +120,15 @@ mod tests {
     #[test]
     fn incremental_fold_matches_one_shot_key() {
         let m = CellKeyMixer::new(0xFEED);
-        for coords in [vec![], vec![3], vec![1, -2, 3], vec![i64::MIN, i64::MAX, 0, 7]] {
-            let folded = coords
-                .iter()
-                .fold(m.fold_init(coords.len()), |a, &c| CellKeyMixer::fold_step(a, c));
+        for coords in [
+            vec![],
+            vec![3],
+            vec![1, -2, 3],
+            vec![i64::MIN, i64::MAX, 0, 7],
+        ] {
+            let folded = coords.iter().fold(m.fold_init(coords.len()), |a, &c| {
+                CellKeyMixer::fold_step(a, c)
+            });
             assert_eq!(folded, m.key(&coords));
         }
     }

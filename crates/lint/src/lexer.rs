@@ -219,9 +219,7 @@ pub fn lex(src: &str) -> Lexed {
                 });
                 line_has_code = true;
             }
-            b'r' if c.peek_at(1) == Some(b'#')
-                && c.peek_at(2).is_some_and(is_ident_start) =>
-            {
+            b'r' if c.peek_at(1) == Some(b'#') && c.peek_at(2).is_some_and(is_ident_start) => {
                 // raw identifier `r#match`: one Ident token, `#` included
                 c.bump();
                 c.bump();
@@ -342,7 +340,7 @@ fn lex_prefixed_literal(c: &mut Cursor<'_>) -> TokenKind {
             c.bump();
         }
         c.bump(); // opening quote
-        // scan to `"` followed by `hashes` hashes
+                  // scan to `"` followed by `hashes` hashes
         loop {
             match c.peek() {
                 None => break,
@@ -455,7 +453,8 @@ fn lex_number(c: &mut Cursor<'_>) -> TokenKind {
         }
     }
     if matches!(c.peek(), Some(b'e' | b'E'))
-        && (matches!(c.peek_at(1), Some(b'+' | b'-')) || c.peek_at(1).is_some_and(|b| b.is_ascii_digit()))
+        && (matches!(c.peek_at(1), Some(b'+' | b'-'))
+            || c.peek_at(1).is_some_and(|b| b.is_ascii_digit()))
     {
         float = true;
         c.bump();
@@ -513,14 +512,20 @@ mod tests {
     #[test]
     fn raw_string_contents_are_not_code() {
         let toks = kinds(r####"let s = r#"x.unwrap() /* not code */"#;"####);
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::RawStr && t.contains("unwrap")));
-        assert!(!toks.iter().any(|(k, t)| *k == TokenKind::Ident && t == "unwrap"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::RawStr && t.contains("unwrap")));
+        assert!(!toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Ident && t == "unwrap"));
     }
 
     #[test]
     fn raw_identifier_is_an_identifier_not_a_string() {
         let toks = kinds("let r#match = 1;");
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Ident && t == "r#match"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Ident && t == "r#match"));
     }
 
     #[test]
@@ -548,8 +553,12 @@ mod tests {
     fn ranges_are_not_floats() {
         let toks = kinds("for i in 0..10 { x[i]; } let f = 1.5; let m = 2.max(3);");
         assert!(toks.iter().any(|(k, t)| *k == TokenKind::Int && t == "0"));
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Punct && t == ".."));
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Float && t == "1.5"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Punct && t == ".."));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Float && t == "1.5"));
         assert!(toks.iter().any(|(k, t)| *k == TokenKind::Int && t == "2"));
     }
 
@@ -572,7 +581,9 @@ mod tests {
         let toks = kinds(r##"let a = b"bytes"; let b = b'x'; let c = br#"raw.unwrap()"#;"##);
         assert!(toks.iter().any(|(k, _)| *k == TokenKind::Str));
         assert!(toks.iter().any(|(k, _)| *k == TokenKind::Char));
-        assert!(!toks.iter().any(|(k, t)| *k == TokenKind::Ident && t == "unwrap"));
+        assert!(!toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Ident && t == "unwrap"));
     }
 
     #[test]

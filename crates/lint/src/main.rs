@@ -74,7 +74,10 @@ fn main() -> ExitCode {
     let root = match root_arg.or_else(|| workspace::find_root(&cwd)) {
         Some(r) => r,
         None => {
-            eprintln!("rds-lint: no workspace Cargo.toml found above {}", cwd.display());
+            eprintln!(
+                "rds-lint: no workspace Cargo.toml found above {}",
+                cwd.display()
+            );
             return ExitCode::from(2);
         }
     };
@@ -93,7 +96,9 @@ fn main() -> ExitCode {
     }
 
     if findings.is_empty() {
-        out(format!("rds-lint: {files_scanned} files scanned, no findings\n"));
+        out(format!(
+            "rds-lint: {files_scanned} files scanned, no findings\n"
+        ));
         ExitCode::SUCCESS
     } else {
         eprintln!(

@@ -166,10 +166,40 @@ fn is_test_path(path: &str) -> bool {
 fn keyword_cannot_index(t: &Token) -> bool {
     matches!(
         t.text.as_str(),
-        "let" | "in" | "return" | "match" | "if" | "else" | "move" | "mut" | "ref" | "break"
-            | "continue" | "where" | "use" | "for" | "while" | "loop" | "unsafe" | "as"
-            | "const" | "static" | "dyn" | "impl" | "fn" | "pub" | "crate" | "mod" | "enum"
-            | "struct" | "trait" | "type" | "extern" | "box" | "yield" | "await"
+        "let"
+            | "in"
+            | "return"
+            | "match"
+            | "if"
+            | "else"
+            | "move"
+            | "mut"
+            | "ref"
+            | "break"
+            | "continue"
+            | "where"
+            | "use"
+            | "for"
+            | "while"
+            | "loop"
+            | "unsafe"
+            | "as"
+            | "const"
+            | "static"
+            | "dyn"
+            | "impl"
+            | "fn"
+            | "pub"
+            | "crate"
+            | "mod"
+            | "enum"
+            | "struct"
+            | "trait"
+            | "type"
+            | "extern"
+            | "box"
+            | "yield"
+            | "await"
     )
 }
 
@@ -269,8 +299,8 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
         }
         let Some(attr_end) = attr_end else { break };
         let attr = &tokens[attr_start..=attr_end];
-        let is_test_attr = attr.iter().any(|t| t.is_ident("test"))
-            && !attr.iter().any(|t| t.is_ident("not"));
+        let is_test_attr =
+            attr.iter().any(|t| t.is_ident("test")) && !attr.iter().any(|t| t.is_ident("not"));
         if !is_test_attr {
             i = attr_end + 1;
             continue;
@@ -383,8 +413,11 @@ pub fn check_file(path: &str, source: &str) -> Vec<Finding> {
     };
 
     let lib_scope = !test_file;
-    let panic_scope =
-        lib_scope && matches!(kind, CrateKind::Core | CrateKind::Engine | CrateKind::Umbrella);
+    let panic_scope = lib_scope
+        && matches!(
+            kind,
+            CrateKind::Core | CrateKind::Engine | CrateKind::Umbrella
+        );
     if panic_scope {
         rule_l1(&mut ctx);
         rule_l3(&mut ctx);
@@ -430,9 +463,9 @@ pub fn check_file(path: &str, source: &str) -> Vec<Finding> {
         .findings
         .into_iter()
         .filter(|f| {
-            !allows.iter().any(|a| {
-                a.known && a.justified && a.rule == f.rule && a.target_line == f.line
-            })
+            !allows
+                .iter()
+                .any(|a| a.known && a.justified && a.rule == f.rule && a.target_line == f.line)
         })
         .collect();
     for a in &allows {
@@ -511,7 +544,8 @@ fn rule_panic_free(ctx: &mut Ctx<'_>, rule: &'static str, remedy: &str) {
                     format!(
                         "indexing by literal `[{}]` panics when the container is shorter; \
                          use .get({}) or .first()",
-                        toks[i + 1].text, toks[i + 1].text
+                        toks[i + 1].text,
+                        toks[i + 1].text
                     ),
                 );
             }
@@ -584,7 +618,11 @@ fn rule_l9(ctx: &mut Ctx<'_>) {
             continue;
         }
         let close = matching(toks, i + 1, "(", ")");
-        if !toks.get(close + 1).map(|t| t.is_punct(";")).unwrap_or(false) {
+        if !toks
+            .get(close + 1)
+            .map(|t| t.is_punct(";"))
+            .unwrap_or(false)
+        {
             continue; // scoped temporary: released within the expression
         }
         // the receiver chain: idents walking back over `recv.field.`
@@ -611,7 +649,9 @@ fn rule_l9(ctx: &mut Ctx<'_>) {
         if j == 0 || !toks[j - 1].is_punct("=") {
             continue;
         }
-        let Some(guard) = toks.get(j.wrapping_sub(2)) else { continue };
+        let Some(guard) = toks.get(j.wrapping_sub(2)) else {
+            continue;
+        };
         if guard.kind != TokenKind::Ident {
             continue; // destructuring patterns don't bind a lone guard
         }
@@ -664,7 +704,9 @@ fn rule_l2(ctx: &mut Ctx<'_>) {
         if ctx.in_test[i] {
             continue;
         }
-        let Some(window) = toks.get(i..i + 3) else { break };
+        let Some(window) = toks.get(i..i + 3) else {
+            break;
+        };
         if !window[1].is_punct("::") {
             continue;
         }
@@ -715,7 +757,10 @@ fn rule_l3(ctx: &mut Ctx<'_>) {
             );
             continue;
         }
-        if matches!(t.text.as_str(), "thread_rng" | "from_entropy" | "OsRng" | "from_os_rng") {
+        if matches!(
+            t.text.as_str(),
+            "thread_rng" | "from_entropy" | "OsRng" | "from_os_rng"
+        ) {
             ctx.emit(
                 "L3",
                 &toks[i].clone(),
@@ -1152,7 +1197,9 @@ fn rule_l10(ctx: &mut Ctx<'_>) {
                 && next_is("::")
                 && toks
                     .get(m + 2)
-                    .map(|n| n.kind == TokenKind::Ident && ALLOC_PATH_FNS.contains(&n.text.as_str()))
+                    .map(|n| {
+                        n.kind == TokenKind::Ident && ALLOC_PATH_FNS.contains(&n.text.as_str())
+                    })
                     .unwrap_or(false);
             if path_alloc {
                 ctx.emit(
@@ -1161,7 +1208,8 @@ fn rule_l10(ctx: &mut Ctx<'_>) {
                     format!(
                         "`{}::{}` allocates once per point inside fn {fn_name}; hoist \
                          the buffer onto the sampler (PR 10 contract)",
-                        t.text, toks[m + 2].text
+                        t.text,
+                        toks[m + 2].text
                     ),
                 );
                 continue;
@@ -1237,7 +1285,8 @@ fn rule_l7(ctx: &mut Ctx<'_>) {
                 format!(
                     "`{} as {}` silently truncates a clock/accounting value; use \
                      u64::try_from or a checked helper",
-                    src.text, toks[i + 1].text
+                    src.text,
+                    toks[i + 1].text
                 ),
             );
         }

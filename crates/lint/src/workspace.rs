@@ -50,7 +50,9 @@ fn is_excluded(rel: &str) -> bool {
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
@@ -88,7 +90,11 @@ pub fn source_files(root: &Path) -> Vec<(String, PathBuf)> {
     let mut out: Vec<(String, PathBuf)> = files
         .into_iter()
         .filter_map(|abs| {
-            let rel = abs.strip_prefix(root).ok()?.to_string_lossy().replace('\\', "/");
+            let rel = abs
+                .strip_prefix(root)
+                .ok()?
+                .to_string_lossy()
+                .replace('\\', "/");
             if is_excluded(&rel) {
                 None
             } else {

@@ -45,8 +45,14 @@ fn l1_is_scoped_to_core_engine_and_facade() {
     assert!(scan_as("l1_cases.rs", "tests/integration.rs").is_empty());
     assert!(scan_as("l1_cases.rs", "crates/core/benches/speed.rs").is_empty());
     // ... but the engine and the umbrella facade are serving paths
-    assert_eq!(lines_of(&scan_as("l1_cases.rs", "crates/engine/src/lib.rs"), "L1").len(), 5);
-    assert_eq!(lines_of(&scan_as("l1_cases.rs", "src/facade.rs"), "L1").len(), 5);
+    assert_eq!(
+        lines_of(&scan_as("l1_cases.rs", "crates/engine/src/lib.rs"), "L1").len(),
+        5
+    );
+    assert_eq!(
+        lines_of(&scan_as("l1_cases.rs", "src/facade.rs"), "L1").len(),
+        5
+    );
 }
 
 #[test]
@@ -66,7 +72,10 @@ fn l2_flags_raw_writes_everywhere_but_the_blessed_module() {
     let f = scan_as("l2_cases.rs", CORE_PATH);
     assert_eq!(lines_of(&f, "L2"), vec![7, 11, 15, 19], "{f:?}");
     // the CLI is in scope for L2 even though it is exempt from L1
-    assert_eq!(lines_of(&scan_as("l2_cases.rs", "crates/cli/src/lib.rs"), "L2").len(), 4);
+    assert_eq!(
+        lines_of(&scan_as("l2_cases.rs", "crates/cli/src/lib.rs"), "L2").len(),
+        4
+    );
     // the blessed atomic-write helper is the one file allowed to do this
     assert!(scan_as("l2_cases.rs", "crates/core/src/persist.rs").is_empty());
 }
@@ -108,7 +117,11 @@ fn l6_flags_locks_in_frozen_impls_and_the_publication_path() {
     // 11/25/26: locks inside frozen reader impls; 52/53: locks inside
     // impl SnapshotCell; 59/65/74: full-summary clones inside
     // SnapshotCell, fn freeze and RdsWriter::publish
-    assert_eq!(lines_of(&f, "L6"), vec![11, 25, 26, 52, 53, 59, 65, 74], "{f:?}");
+    assert_eq!(
+        lines_of(&f, "L6"),
+        vec![11, 25, 26, 52, 53, 59, 65, 74],
+        "{f:?}"
+    );
     // guards: WriterCell::publish locks freely (not RdsWriter), and
     // summary clones outside the publication path never fire
     assert_eq!(f.len(), 8, "{f:?}");
@@ -211,14 +224,17 @@ fn l10_flags_maps_and_allocation_in_hot_path_fns_only() {
     // path, the allocating process_batch_keyed and double_rate bodies
     // (cold/amortized paths, not in the scanned name set) and the test
     // mod.
-    assert_eq!(lines_of(&f, "L10"), vec![5, 6, 7, 8, 13, 14, 20, 21], "{f:?}");
+    assert_eq!(
+        lines_of(&f, "L10"),
+        vec![5, 6, 7, 8, 13, 14, 20, 21],
+        "{f:?}"
+    );
     assert_eq!(f.len(), 8, "{f:?}");
     // the map message names the blessed index, the allocation messages
     // name the remedy
     assert!(
-        f.iter().all(|x| {
-            x.message.contains("CandidateStore") || x.message.contains("the sampler")
-        }),
+        f.iter()
+            .all(|x| { x.message.contains("CandidateStore") || x.message.contains("the sampler") }),
         "{f:?}"
     );
 }
@@ -246,7 +262,11 @@ fn l2_covers_the_tenant_crate() {
 fn l2_covers_the_server_crate() {
     // a server handler writing raw files would bypass the atomic helper
     assert_eq!(
-        lines_of(&scan_as("l2_cases.rs", "crates/server/src/handlers/admin.rs"), "L2").len(),
+        lines_of(
+            &scan_as("l2_cases.rs", "crates/server/src/handlers/admin.rs"),
+            "L2"
+        )
+        .len(),
         4
     );
 }
@@ -284,7 +304,10 @@ fn findings_render_as_file_line_col_diagnostics() {
     let f = scan_as("l1_cases.rs", CORE_PATH);
     let text = rds_lint::report::render_text(&f);
     assert!(
-        text.lines().next().unwrap_or_default().starts_with("crates/core/src/fixture_under_test.rs:5:"),
+        text.lines()
+            .next()
+            .unwrap_or_default()
+            .starts_with("crates/core/src/fixture_under_test.rs:5:"),
         "{text}"
     );
     let json = rds_lint::report::render_json("/root/repo", 1, &f);

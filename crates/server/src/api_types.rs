@@ -290,7 +290,10 @@ mod tests {
             let s = error_status(&e);
             assert!((400..500).contains(&s), "backend errors are 4xx, got {s}");
         }
-        assert_eq!(error_code(&RdsError::checkpoint("x")), "checkpoint_rejected");
+        assert_eq!(
+            error_code(&RdsError::checkpoint("x")),
+            "checkpoint_rejected"
+        );
         assert_eq!(error_status(&RdsError::checkpoint("x")), 409);
     }
 

@@ -1,8 +1,8 @@
 //! Server configuration: bind address, threadpool sizing, request
 //! limits, and the backend knobs forwarded to [`Rds::builder()`].
 
-use rds_stream::Window;
 use rds_core::RdsError;
+use rds_stream::Window;
 use robust_distinct_sampling::{Rds, RdsReader, RdsWriter};
 
 /// Backend selection: every knob [`Rds::builder()`] exposes, in plain

@@ -45,11 +45,13 @@ pub(crate) fn ingest(req: &Request, shared: &Shared, tenant: &str) -> Result<Out
     let ack = reg
         .ingest(tenant, &points, body.times.as_deref())
         .map_err(backend)?;
-    Ok(Outcome::ok(api_types::to_json(&api_types::IngestResponse {
-        ingested: points.len() as u64,
-        seen: ack.seen,
-        epoch: ack.epoch,
-    })))
+    Ok(Outcome::ok(api_types::to_json(
+        &api_types::IngestResponse {
+            ingested: points.len() as u64,
+            seen: ack.seen,
+            epoch: ack.epoch,
+        },
+    )))
 }
 
 /// `/t/{tenant}/query` (`default_k` 1) and `/t/{tenant}/query_k`

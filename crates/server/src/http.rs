@@ -375,7 +375,10 @@ mod tests {
     #[test]
     fn missing_content_length_means_empty_body() {
         let req = expect_req(b"POST /ingest HTTP/1.1\r\n\r\n{\"points\": []}");
-        assert_eq!(req.body, "", "bytes after the header block are not read blind");
+        assert_eq!(
+            req.body, "",
+            "bytes after the header block are not read blind"
+        );
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub mod router;
 pub use config::{BackendConfig, ServerConfig, TenancyConfig};
 
 use parking_lot::AtomicArc;
+use rds_core::RdsError;
 use rds_geometry::Point;
 use rds_stream::{Stamp, StreamItem};
-use rds_core::RdsError;
 use robust_distinct_sampling::{PublishCadence, Rds, RdsReader, RdsWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

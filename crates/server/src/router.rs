@@ -148,10 +148,7 @@ mod tests {
             route("POST", "/t/a.b-c_d/query_k"),
             Ok(Route::TenantQueryK("a.b-c_d".to_owned()))
         );
-        assert_eq!(
-            route("GET", "/t/x/f0"),
-            Ok(Route::TenantF0("x".to_owned()))
-        );
+        assert_eq!(route("GET", "/t/x/f0"), Ok(Route::TenantF0("x".to_owned())));
         // the router extracts verbatim; validation is the registry's job
         assert_eq!(
             route("GET", "/t/bad id!/f0"),

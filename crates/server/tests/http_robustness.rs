@@ -92,7 +92,10 @@ fn malformed_json_is_a_400_with_the_parse_error() {
 #[test]
 fn missing_content_length_on_a_body_endpoint_is_a_400() {
     let (handle, addr) = start();
-    let (status, body) = raw(addr, b"POST /ingest HTTP/1.1\r\n\r\n{\"points\": [[0.0, 0.0]]}");
+    let (status, body) = raw(
+        addr,
+        b"POST /ingest HTTP/1.1\r\n\r\n{\"points\": [[0.0, 0.0]]}",
+    );
     assert_eq!(status, 400);
     assert_eq!(code_of(&body), "missing_body");
     handle.shutdown_and_join();
@@ -101,7 +104,10 @@ fn missing_content_length_on_a_body_endpoint_is_a_400() {
 #[test]
 fn oversized_content_length_is_a_413() {
     let (handle, addr) = start();
-    let (status, body) = raw(addr, b"POST /ingest HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n");
+    let (status, body) = raw(
+        addr,
+        b"POST /ingest HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n",
+    );
     assert_eq!(status, 413);
     assert_eq!(code_of(&body), "payload_too_large");
     handle.shutdown_and_join();
@@ -116,7 +122,10 @@ fn overflowing_and_garbage_content_length_are_400s() {
     );
     assert_eq!(status, 400);
     assert_eq!(code_of(&body), "invalid_content_length");
-    let (status, body) = raw(addr, b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n");
+    let (status, body) = raw(
+        addr,
+        b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    );
     assert_eq!(status, 400);
     assert_eq!(code_of(&body), "invalid_content_length");
     handle.shutdown_and_join();
@@ -125,7 +134,10 @@ fn overflowing_and_garbage_content_length_are_400s() {
 #[test]
 fn truncated_body_is_a_400() {
     let (handle, addr) = start();
-    let (status, body) = raw(addr, b"POST /ingest HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort");
+    let (status, body) = raw(
+        addr,
+        b"POST /ingest HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
+    );
     assert_eq!(status, 400);
     assert_eq!(code_of(&body), "truncated_body");
     handle.shutdown_and_join();
@@ -207,7 +219,10 @@ fn bad_checkpoint_path_is_a_conflict_not_a_crash() {
 fn a_malformed_request_does_not_kill_the_worker_for_the_next_client() {
     let (handle, addr) = start();
     for _ in 0..8 {
-        let (status, _) = raw(addr, b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n");
+        let (status, _) = raw(
+            addr,
+            b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        );
         assert_eq!(status, 400);
     }
     let (status, _) = client::request_once(addr, "GET", "/healthz", None).expect("alive");

@@ -34,6 +34,5 @@ mod registry;
 pub mod spill;
 
 pub use registry::{
-    validate_tenant_id, RegistryStats, TenantAck, TenantRegistry, TenantTemplate,
-    MAX_TENANT_ID_LEN,
+    validate_tenant_id, RegistryStats, TenantAck, TenantRegistry, TenantTemplate, MAX_TENANT_ID_LEN,
 };

@@ -444,11 +444,7 @@ impl TenantRegistry {
     /// # Errors
     ///
     /// Same failure modes as [`Self::ingest`].
-    pub fn query_at(
-        &self,
-        id: &str,
-        draw: u64,
-    ) -> Result<Option<rds_core::GroupRecord>, RdsError> {
+    pub fn query_at(&self, id: &str, draw: u64) -> Result<Option<rds_core::GroupRecord>, RdsError> {
         Ok(self.snapshot(id)?.query_at(draw))
     }
 
@@ -552,9 +548,11 @@ impl TenantRegistry {
     /// `before → after` words.
     fn recharge(&self, before: usize, after: usize) {
         if after >= before {
-            self.resident_words.fetch_add(after - before, Ordering::Relaxed);
+            self.resident_words
+                .fetch_add(after - before, Ordering::Relaxed);
         } else {
-            self.resident_words.fetch_sub(before - after, Ordering::Relaxed);
+            self.resident_words
+                .fetch_sub(before - after, Ordering::Relaxed);
         }
     }
 

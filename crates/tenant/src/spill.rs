@@ -29,7 +29,9 @@ use std::path::{Path, PathBuf};
 /// `spill_dir/{hh}/{id}.chk`, sharded by the low byte of the id's hash.
 pub fn container_path(spill_dir: &Path, id: &str) -> PathBuf {
     let shard = fnv1a64(id.as_bytes()) & 0xff;
-    spill_dir.join(format!("{shard:02x}")).join(format!("{id}.chk"))
+    spill_dir
+        .join(format!("{shard:02x}"))
+        .join(format!("{id}.chk"))
 }
 
 /// Writes tenant `id`'s spill container atomically (temp sibling +

@@ -36,10 +36,10 @@ fn kill_mid_spill_never_loses_the_previous_good_container() {
 
     // debris: (tag, simulated temp-sibling content the kill left behind)
     let debris: [(&str, Option<&str>); 4] = [
-        ("clean", None),                       // killed before the write began
-        ("empty-tmp", Some("")),               // killed right after create
+        ("clean", None),                               // killed before the write began
+        ("empty-tmp", Some("")),                       // killed right after create
         ("partial-tmp", Some("{\"magic\":\"rds-che")), // killed mid-write
-        ("full-tmp", Some("not-even-json")),   // killed before the rename
+        ("full-tmp", Some("not-even-json")),           // killed before the rename
     ];
     for (tag, tmp) in debris {
         let dir = scratch(tag);
@@ -112,6 +112,9 @@ fn failed_spill_leaves_the_victim_resident_and_correct() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(shard_dir, b"squatter").unwrap();
     assert!(reg.evict("t").is_err(), "spill must report the failure");
-    assert!(reg.is_resident("t"), "failed spill must not drop the sampler");
+    assert!(
+        reg.is_resident("t"),
+        "failed spill must not drop the sampler"
+    );
     assert_eq!(reg.f0_estimate("t").unwrap().to_bits(), expected.to_bits());
 }

@@ -2,8 +2,8 @@
 //! eviction invisibility (spilled tenants answer bit-identically to
 //! never-evicted controls), restart durability, and request validation.
 
-use rds_geometry::Point;
 use rds_core::RdsError;
+use rds_geometry::Point;
 use rds_stream::{Stamp, Window};
 use rds_tenant::{TenantRegistry, TenantTemplate, MAX_TENANT_ID_LEN};
 
@@ -69,7 +69,8 @@ fn budget_bounds_resident_words_via_eviction() {
     let budget = one * 3;
     let reg = TenantRegistry::new(template(), budget, scratch("budget")).unwrap();
     for t in 0..20u64 {
-        reg.ingest(&format!("tenant-{t}"), &batch(t, 60), None).unwrap();
+        reg.ingest(&format!("tenant-{t}"), &batch(t, 60), None)
+            .unwrap();
         assert!(
             reg.resident_words() <= budget,
             "after tenant {t}: resident {} exceeds budget {budget}",
@@ -106,7 +107,10 @@ fn eviction_is_invisible_bit_identical_answers() {
             squeezed.ingest(id, &pts, None).unwrap();
         }
     }
-    assert!(squeezed.stats().spills > 0, "the squeeze must actually evict");
+    assert!(
+        squeezed.stats().spills > 0,
+        "the squeeze must actually evict"
+    );
     assert!(squeezed.stats().restores > 0);
     for id in &ids {
         assert_eq!(
@@ -215,9 +219,7 @@ fn request_validation_rejects_bad_ids_and_mismatched_times() {
     for id in ["a.b-c_d", "UPPER", "0", &"y".repeat(MAX_TENANT_ID_LEN)] {
         assert!(reg.f0_estimate(id).is_ok(), "id {id:?} should be accepted");
     }
-    let err = reg
-        .ingest("ok", &batch(0, 3), Some(&[1, 2]))
-        .unwrap_err();
+    let err = reg.ingest("ok", &batch(0, 3), Some(&[1, 2])).unwrap_err();
     assert!(matches!(err, RdsError::InvalidTenant { .. }));
 }
 

@@ -72,7 +72,11 @@ where
         "estimates diverged across evictions"
     );
     assert_eq!(control.seen(), evicted.seen());
-    assert_eq!(control.words(), evicted.words(), "candidate structure diverged");
+    assert_eq!(
+        control.words(),
+        evicted.words(),
+        "candidate structure diverged"
+    );
     for draw in 0..4 {
         let a = control.query_record();
         let b = evicted.query_record();
@@ -81,7 +85,11 @@ where
             b.as_ref().map(|r| &r.rep),
             "draw {draw}: PRNG position did not survive eviction churn"
         );
-        assert_eq!(a.map(|r| r.count), b.map(|r| r.count), "draw {draw}: counts");
+        assert_eq!(
+            a.map(|r| r.count),
+            b.map(|r| r.count),
+            "draw {draw}: counts"
+        );
     }
 }
 

@@ -84,7 +84,9 @@ fn main() {
 
     let cfg = SamplerConfig::builder(dim, alpha)
         .seed(42)
-        .expected_len(stream.len() as u64).build().unwrap();
+        .expected_len(stream.len() as u64)
+        .build()
+        .unwrap();
 
     // --- Robust F0 estimation (Section 5) -------------------------------
     let mut f0 = RobustF0Estimator::try_new(cfg, 0.3, 5).unwrap();

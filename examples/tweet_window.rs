@@ -50,7 +50,10 @@ fn main() {
         }
     }
     tweets.sort_by_key(|&(_, t)| t);
-    println!("simulated {} tweets across {n_topics} topics over 24h", tweets.len());
+    println!(
+        "simulated {} tweets across {n_topics} topics over 24h",
+        tweets.len()
+    );
 
     // The facade handles the time-based window; add .shards(n) to spread
     // a heavier feed across workers with the same calls.

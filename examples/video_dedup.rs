@@ -68,7 +68,9 @@ fn main() {
         // robust sampler: uniform over videos
         let cfg = SamplerConfig::builder(DIM, ALPHA)
             .seed(1000 + t)
-            .expected_len(cat.stream.len() as u64).build().unwrap();
+            .expected_len(cat.stream.len() as u64)
+            .build()
+            .unwrap();
         let mut robust = RobustL0Sampler::try_new(cfg).unwrap();
         // naive baseline: uniform over uploads
         let mut naive = PointMinRankSampler::new(2000 + t);

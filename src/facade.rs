@@ -39,6 +39,7 @@
 //! assert_eq!(sample.rep.dim(), 1);
 //! ```
 
+use parking_lot::AtomicArc;
 use rds_core::{
     Checkpointable, DistinctSampler, GroupRecord, MergedSummary, RdsError, RobustL0Sampler,
     RobustL0State, SamplerConfig, SamplerSummary, SlidingWindowSampler, SlidingWindowState,
@@ -47,7 +48,6 @@ use rds_core::{
 use rds_engine::{EngineCheckpoint, ShardedEngine};
 use rds_geometry::Point;
 use rds_stream::{Stamp, StreamItem, Window};
-use parking_lot::AtomicArc;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1149,9 +1149,8 @@ impl RdsBuilder {
         self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(RdsWriter, RdsReader), RdsError> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(|e| {
-            checkpoint_err(format!("read {}: {e}", path.as_ref().display()))
-        })?;
+        let text = std::fs::read_to_string(path.as_ref())
+            .map_err(|e| checkpoint_err(format!("read {}: {e}", path.as_ref().display())))?;
         self.restore(WriterCheckpoint::from_container_json(&text)?)
     }
 
@@ -1165,9 +1164,7 @@ impl RdsBuilder {
     ///
     /// As [`Self::build_split`].
     pub fn build(self) -> Result<Rds, RdsError> {
-        let (writer, reader) = self
-            .publish_cadence(PublishCadence::Manual)
-            .build_split()?;
+        let (writer, reader) = self.publish_cadence(PublishCadence::Manual).build_split()?;
         Ok(Rds { writer, reader })
     }
 }
@@ -1292,7 +1289,9 @@ mod tests {
     use super::*;
 
     fn grouped_point(i: u64, n_groups: u64) -> Point {
-        Point::new(vec![(i % n_groups) as f64 * 10.0 + 0.01 * ((i / n_groups) % 3) as f64])
+        Point::new(vec![
+            (i % n_groups) as f64 * 10.0 + 0.01 * ((i / n_groups) % 3) as f64,
+        ])
     }
 
     fn base() -> RdsBuilder {
@@ -1344,13 +1343,21 @@ mod tests {
             for _ in 0..64u64 {
                 rds.process(Point::new(vec![0.0]));
             }
-            assert_eq!(rds.f0_estimate(), 1.0, "shards {shards}: window did not slide");
+            assert_eq!(
+                rds.f0_estimate(),
+                1.0,
+                "shards {shards}: window did not slide"
+            );
         }
     }
 
     #[test]
     fn time_based_window_through_the_facade() {
-        let mut rds = base().window(Window::Time(10)).shards(2).build().expect("valid");
+        let mut rds = base()
+            .window(Window::Time(10))
+            .shards(2)
+            .build()
+            .expect("valid");
         for g in 0..5u64 {
             rds.process_item(StreamItem::new(
                 Point::new(vec![g as f64 * 10.0]),
@@ -1394,10 +1401,7 @@ mod tests {
             base().window(Window::Sequence(0)).build(),
             Err(RdsError::EmptyWindow)
         ));
-        assert!(matches!(
-            base().k(0).build(),
-            Err(RdsError::InvalidK)
-        ));
+        assert!(matches!(base().k(0).build(), Err(RdsError::InvalidK)));
     }
 
     #[test]
@@ -1524,7 +1528,11 @@ mod tests {
         for t in 0..8u64 {
             writer.advance(Stamp::new(10 + t, 10 + t));
         }
-        assert_eq!(reader.epoch(), 0, "quiet advances on an infinite window are no-ops");
+        assert_eq!(
+            reader.epoch(),
+            0,
+            "quiet advances on an infinite window are no-ops"
+        );
     }
 
     #[test]
@@ -1768,7 +1776,10 @@ mod tests {
             panic!("unsharded window backend expected");
         };
         let live: usize = state.levels().iter().map(|l| l.entries().len()).sum();
-        assert_eq!(live, 0, "advance must expire entries eagerly, not at publish");
+        assert_eq!(
+            live, 0,
+            "advance must expire entries eagerly, not at publish"
+        );
     }
 
     #[test]
@@ -1814,15 +1825,27 @@ mod tests {
         let chk = writer.checkpoint();
         // unset parameters adopt the echo; conflicting ones are typed errors
         assert!(Rds::builder().restore(chk.clone()).is_ok());
-        assert!(Rds::builder().dim(1).alpha(0.5).restore(chk.clone()).is_ok());
+        assert!(Rds::builder()
+            .dim(1)
+            .alpha(0.5)
+            .restore(chk.clone())
+            .is_ok());
         for (what, result) in [
             ("dim", Rds::builder().dim(2).restore(chk.clone())),
             ("alpha", Rds::builder().alpha(0.75).restore(chk.clone())),
-            ("window", Rds::builder().window(Window::Sequence(8)).restore(chk.clone())),
+            (
+                "window",
+                Rds::builder()
+                    .window(Window::Sequence(8))
+                    .restore(chk.clone()),
+            ),
             ("shards", Rds::builder().shards(4).restore(chk.clone())),
             ("seed", Rds::builder().seed(999).restore(chk.clone())),
             ("k", Rds::builder().k(3).restore(chk.clone())),
-            ("eps", Rds::builder().count_accuracy(0.5).restore(chk.clone())),
+            (
+                "eps",
+                Rds::builder().count_accuracy(0.5).restore(chk.clone()),
+            ),
         ] {
             assert!(
                 matches!(result, Err(RdsError::Checkpoint { .. })),

@@ -5,12 +5,12 @@
 //! mismatched checkpoint files must surface as typed
 //! [`RdsError::Checkpoint`] errors, never panics or corrupt estimates.
 
+use rds_geometry::Point;
+use rds_stream::{Stamp, StreamItem, Window};
 use robust_distinct_sampling::core::{GroupRecord, RdsError};
 use robust_distinct_sampling::{
     fnv1a64, PublishCadence, Rds, RdsReader, RdsWriter, WriterCheckpoint,
 };
-use rds_geometry::Point;
-use rds_stream::{Stamp, StreamItem, Window};
 
 /// Deterministic mixed stream: `n_entities` well-separated entities with
 /// near-duplicate jitter, stamped so that sequence- and time-based
@@ -54,7 +54,10 @@ fn assert_same_records(a: &[GroupRecord], b: &[GroupRecord], what: &str) {
         assert_eq!(x.rep, y.rep, "{what}: representative diverged");
         assert_eq!(x.count, y.count, "{what}: group count diverged");
         assert_eq!(x.cell_hash, y.cell_hash, "{what}: cell hash diverged");
-        assert_eq!(x.reservoir, y.reservoir, "{what}: reservoir member diverged");
+        assert_eq!(
+            x.reservoir, y.reservoir,
+            "{what}: reservoir member diverged"
+        );
     }
 }
 
@@ -137,7 +140,10 @@ fn restored_window_keeps_sliding_and_expiring() {
             .publish_cadence(PublishCadence::Manual)
             .restore(chk)
             .expect("restores");
-        assert!(rr.f0_estimate() > 0.0, "warm snapshot serves pre-crash state");
+        assert!(
+            rr.f0_estimate() > 0.0,
+            "warm snapshot serves pre-crash state"
+        );
         // the clock moves far past the window with no new items
         rw.advance(Stamp::new(200, 10_000));
         rw.publish();
@@ -176,10 +182,15 @@ fn restore_with_mismatched_config_is_a_typed_error() {
         ),
         (
             "window width",
-            Rds::builder().window(Window::Sequence(32)).restore(chk.clone()),
+            Rds::builder()
+                .window(Window::Sequence(32))
+                .restore(chk.clone()),
         ),
         ("shards", Rds::builder().shards(3).restore(chk.clone())),
-        ("expected_len", Rds::builder().expected_len(4).restore(chk.clone())),
+        (
+            "expected_len",
+            Rds::builder().expected_len(4).restore(chk.clone()),
+        ),
         ("k", Rds::builder().k(5).restore(chk.clone())),
         ("kappa0", Rds::builder().kappa0(1.0).restore(chk.clone())),
         ("eps", Rds::builder().count_accuracy(0.25).restore(chk)),
@@ -267,9 +278,11 @@ fn forged_engine_batch_size_is_a_typed_error_not_an_abort() {
     let good = cw.checkpoint().to_container_json();
     let (_, payload) = good.split_once("\"payload\":").expect("container layout");
     let payload = &payload[..payload.len() - 1];
-    let forged_payload =
-        payload.replacen("\"batch_size\":256", "\"batch_size\":1099511627776", 1);
-    assert_ne!(forged_payload, payload, "fixture: the batch_size field must exist");
+    let forged_payload = payload.replacen("\"batch_size\":256", "\"batch_size\":1099511627776", 1);
+    assert_ne!(
+        forged_payload, payload,
+        "fixture: the batch_size field must exist"
+    );
     // a valid checksum: this is a hostile writer, not bit rot
     let forged = format!(
         "{{\"magic\":\"rds-checkpoint\",\"version\":1,\"checksum\":{},\"payload\":{forged_payload}}}",
@@ -339,7 +352,11 @@ fn restore_never_reuses_an_epoch_for_different_content() {
         2,
         "content beyond epoch 1 must not be served under epoch 1"
     );
-    assert_ne!(rr.f0_estimate(), pre_crash_f0, "fixture: the content differs");
+    assert_ne!(
+        rr.f0_estimate(),
+        pre_crash_f0,
+        "fixture: the content differs"
+    );
 
     // ...and a checkpoint that coincides with a publication keeps its
     // epoch (identical content, identical number).
@@ -393,5 +410,9 @@ fn restored_pair_publishes_on_cadence_from_the_builder() {
     for i in 10..14u64 {
         rw.process_item(item(i, 5));
     }
-    assert_eq!(rr.epoch(), epoch + 1, "EveryN(4) cadence applies after restore");
+    assert_eq!(
+        rr.epoch(),
+        epoch + 1,
+        "EveryN(4) cadence applies after restore"
+    );
 }

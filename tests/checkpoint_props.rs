@@ -7,15 +7,15 @@
 //! mutated container files always yield typed errors, never panics.
 
 use proptest::prelude::*;
+use rds_geometry::Point;
+use rds_stream::{Stamp, StreamItem, Window};
+use robust_distinct_sampling::core::FixedRateWindowSampler;
 use robust_distinct_sampling::core::{
     Checkpointable, DistinctSampler, JlRobustSampler, KDistinctSampler, KWithReplacementSampler,
     MetricRobustSampler, RdsError, RobustL0Sampler, SamplerConfig, SimHashPartitioner,
     SlidingWindowSampler,
 };
-use robust_distinct_sampling::core::FixedRateWindowSampler;
 use robust_distinct_sampling::{PublishCadence, Rds, WriterCheckpoint};
-use rds_geometry::Point;
-use rds_stream::{Stamp, StreamItem, Window};
 
 fn cfg(seed: u64, n: u64) -> SamplerConfig {
     SamplerConfig::builder(1, 0.5)
@@ -57,8 +57,16 @@ where
         restored.process(it);
     }
     prop_assert_eq_outside_closure(original.f0_estimate(), restored.f0_estimate());
-    assert_eq!(original.seen(), restored.seen(), "arrival counters diverged");
-    assert_eq!(original.words(), restored.words(), "candidate structure diverged");
+    assert_eq!(
+        original.seen(),
+        restored.seen(),
+        "arrival counters diverged"
+    );
+    assert_eq!(
+        original.words(),
+        restored.words(),
+        "candidate structure diverged"
+    );
     for draw in 0..4 {
         let a = original.query_record();
         let b = restored.query_record();
@@ -67,7 +75,11 @@ where
             b.as_ref().map(|r| &r.rep),
             "draw {draw}: the PRNG position did not survive the round trip"
         );
-        assert_eq!(a.map(|r| r.count), b.map(|r| r.count), "draw {draw}: counts");
+        assert_eq!(
+            a.map(|r| r.count),
+            b.map(|r| r.count),
+            "draw {draw}: counts"
+        );
     }
 }
 
@@ -296,6 +308,10 @@ fn k_with_replacement_round_trips() {
         original.process(&it.point);
         restored.process(&it.point);
     }
-    assert_eq!(original.sample(), restored.sample(), "per-copy draws must replay");
+    assert_eq!(
+        original.sample(),
+        restored.sample(),
+        "per-copy draws must replay"
+    );
     assert_eq!(original.k(), restored.k());
 }

@@ -214,7 +214,9 @@ fn panicking_writer_leaves_readers_a_coherent_snapshot() {
         let crashed = writer_thread.join();
         assert!(crashed.is_err(), "the writer must have panicked");
         done.store(true, Ordering::Relaxed);
-        observer.join().expect("observer saw a torn or stale snapshot")
+        observer
+            .join()
+            .expect("observer saw a torn or stale snapshot")
     });
     drop(std::panic::take_hook()); // restore the default hook
 

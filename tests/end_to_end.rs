@@ -26,7 +26,9 @@ fn seeds_dataset_full_pipeline_is_uniformish() {
     for run in 0..runs {
         let cfg = SamplerConfig::builder(ds.dim, ds.alpha)
             .seed(run * 77 + 5)
-            .expected_len(ds.len() as u64).build().unwrap();
+            .expected_len(ds.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         for lp in &ds.points {
             s.process(&lp.point);
@@ -51,12 +53,16 @@ fn every_paper_dataset_streams_through_the_sampler() {
         let ds = which.generate(3);
         let cfg = SamplerConfig::builder(ds.dim, ds.alpha)
             .seed(11)
-            .expected_len(ds.len() as u64).build().unwrap();
+            .expected_len(ds.len() as u64)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         for lp in &ds.points {
             s.process(&lp.point);
         }
-        let q = s.query().unwrap_or_else(|| panic!("{}: empty sample", ds.name));
+        let q = s
+            .query()
+            .unwrap_or_else(|| panic!("{}: empty sample", ds.name));
         assert_eq!(q.dim(), ds.dim, "{}", ds.name);
         // space must stay far below the stream length (O(log m) words vs
         // m * d words for storing the stream); the small power-law
@@ -116,7 +122,9 @@ fn reservoir_representative_matches_group_of_first_point() {
     let ds = PaperDataset::Yacht.generate(13);
     let cfg = SamplerConfig::builder(ds.dim, ds.alpha)
         .seed(21)
-        .expected_len(ds.len() as u64).build().unwrap();
+        .expected_len(ds.len() as u64)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     for lp in &ds.points {
         s.process(&lp.point);

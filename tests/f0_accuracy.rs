@@ -12,7 +12,9 @@ fn robust_f0_close_to_truth_on_paper_dataset() {
     let ds = PaperDataset::Seeds.generate(2);
     let cfg = SamplerConfig::builder(ds.dim, ds.alpha)
         .seed(3)
-        .expected_len(ds.len() as u64).build().unwrap();
+        .expected_len(ds.len() as u64)
+        .build()
+        .unwrap();
     let mut est = RobustF0Estimator::try_new(cfg, 0.3, 7).unwrap();
     for lp in &ds.points {
         est.process(&lp.point);
@@ -56,7 +58,9 @@ fn robust_f0_is_monotone_in_group_count() {
     for &n_groups in &[20u64, 80, 320] {
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(9)
-            .expected_len(3200).build().unwrap();
+            .expected_len(3200)
+            .build()
+            .unwrap();
         let mut est = RobustF0Estimator::try_new(cfg, 0.5, 5).unwrap();
         for i in 0..3200u64 {
             est.process(&rds_geometry::Point::new(vec![
@@ -73,7 +77,9 @@ fn sliding_window_f0_follows_the_window() {
     let cfg = SamplerConfig::builder(1, 0.5)
         .seed(11)
         .expected_len(4096)
-        .kappa0(1.0).build().unwrap();
+        .kappa0(1.0)
+        .build()
+        .unwrap();
     let mut est = SlidingWindowF0::try_new(cfg, Window::Sequence(256), 1.0).unwrap();
     // phase 1: 100 groups
     for i in 0..1024u64 {
@@ -106,7 +112,9 @@ fn fm_estimate_reports_sane_scale() {
     let cfg = SamplerConfig::builder(1, 0.5)
         .seed(13)
         .expected_len(2048)
-        .kappa0(1.0).build().unwrap();
+        .kappa0(1.0)
+        .build()
+        .unwrap();
     let mut est = SlidingWindowF0::try_new(cfg, Window::Sequence(512), 1.0).unwrap();
     for i in 0..2048u64 {
         est.process(&StreamItem::new(

@@ -12,7 +12,11 @@ fn points_exactly_on_cell_boundaries() {
     // grid side = alpha = 1 with zero offsets is impossible through the
     // public API (offsets are random), but integer-coordinate points
     // still regularly land on boundaries of some dimension; hammer that.
-    let cfg = SamplerConfig::builder(2, 1.0).seed(4).expected_len(4096).build().unwrap();
+    let cfg = SamplerConfig::builder(2, 1.0)
+        .seed(4)
+        .expected_len(4096)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     for i in 0..64 {
         for j in 0..64 {
@@ -33,7 +37,11 @@ fn points_exactly_on_cell_boundaries() {
 
 #[test]
 fn duplicate_only_stream_keeps_one_group() {
-    let cfg = SamplerConfig::builder(3, 0.5).seed(5).expected_len(10_000).build().unwrap();
+    let cfg = SamplerConfig::builder(3, 0.5)
+        .seed(5)
+        .expected_len(10_000)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     let base = Point::new(vec![1.0, 2.0, 3.0]);
     for i in 0..10_000u64 {
@@ -59,7 +67,11 @@ fn single_point_stream() {
 
 #[test]
 fn huge_coordinates_do_not_break_the_grid() {
-    let cfg = SamplerConfig::builder(2, 0.5).seed(7).expected_len(100).build().unwrap();
+    let cfg = SamplerConfig::builder(2, 0.5)
+        .seed(7)
+        .expected_len(100)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     for i in 0..100 {
         s.process(&Point::new(vec![1e12 + i as f64 * 1e9, -1e12]));
@@ -69,7 +81,11 @@ fn huge_coordinates_do_not_break_the_grid() {
 
 #[test]
 fn negative_and_mixed_sign_coordinates() {
-    let cfg = SamplerConfig::builder(3, 0.25).seed(8).expected_len(512).build().unwrap();
+    let cfg = SamplerConfig::builder(3, 0.25)
+        .seed(8)
+        .expected_len(512)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     for i in 0..512i64 {
         let v = (i - 256) as f64 * 2.0;
@@ -80,7 +96,11 @@ fn negative_and_mixed_sign_coordinates() {
 
 #[test]
 fn window_larger_than_stream_never_expires() {
-    let cfg = SamplerConfig::builder(1, 0.5).seed(9).expected_len(64).build().unwrap();
+    let cfg = SamplerConfig::builder(1, 0.5)
+        .seed(9)
+        .expected_len(64)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(1 << 30)).unwrap();
     for i in 0..64u64 {
         s.process(&StreamItem::new(
@@ -101,7 +121,11 @@ fn window_larger_than_stream_never_expires() {
 
 #[test]
 fn time_gaps_expire_everything_at_once() {
-    let cfg = SamplerConfig::builder(1, 0.5).seed(10).expected_len(64).build().unwrap();
+    let cfg = SamplerConfig::builder(1, 0.5)
+        .seed(10)
+        .expected_len(64)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Time(5)).unwrap();
     for i in 0..32u64 {
         s.process(&StreamItem::new(
@@ -146,7 +170,11 @@ fn overflow_error_path_is_survivable() {
 
 #[test]
 fn fixed_rate_sampler_survives_empty_windows() {
-    let cfg = SamplerConfig::builder(1, 0.5).seed(12).expected_len(64).build().unwrap();
+    let cfg = SamplerConfig::builder(1, 0.5)
+        .seed(12)
+        .expected_len(64)
+        .build()
+        .unwrap();
     let mut s = FixedRateWindowSampler::new(cfg, Window::Time(1), 0);
     s.process(&StreamItem::new(Point::new(vec![0.0]), Stamp::new(0, 0)));
     // time jumps; the window (t-1, t] is empty before the next arrival
@@ -161,7 +189,11 @@ fn fixed_rate_sampler_survives_empty_windows() {
 #[test]
 fn zero_variance_dataset_with_alpha_larger_than_extent() {
     // alpha so large the whole stream is one group
-    let cfg = SamplerConfig::builder(2, 1e6).seed(13).expected_len(256).build().unwrap();
+    let cfg = SamplerConfig::builder(2, 1e6)
+        .seed(13)
+        .expected_len(256)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     for i in 0..256 {
         s.process(&Point::new(vec![i as f64, -(i as f64)]));
@@ -173,7 +205,11 @@ fn zero_variance_dataset_with_alpha_larger_than_extent() {
 fn query_reflects_stream_growth() {
     // as new far-away groups arrive, old samples stay possible and new
     // ones become possible: check support growth via repeated queries
-    let cfg = SamplerConfig::builder(1, 0.5).seed(14).expected_len(32).build().unwrap();
+    let cfg = SamplerConfig::builder(1, 0.5)
+        .seed(14)
+        .expected_len(32)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     s.process(&Point::new(vec![0.0]));
     let mut seen_new = false;

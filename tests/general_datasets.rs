@@ -31,7 +31,9 @@ fn sampler_accepts_chains_without_duplicating_regions() {
     let alpha = 1.0;
     let cfg = SamplerConfig::builder(1, alpha)
         .seed(3)
-        .expected_len(pts.len() as u64).build().unwrap();
+        .expected_len(pts.len() as u64)
+        .build()
+        .unwrap();
     let mut s = RobustL0Sampler::try_new(cfg).unwrap();
     for p in &pts {
         s.process(p);
@@ -71,7 +73,9 @@ fn ball_coverage_probability_is_theta_one_over_n() {
         let cfg = SamplerConfig::builder(1, alpha)
             .seed(run * 331 + 17)
             .expected_len(pts.len() as u64)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         for p in &pts {
             s.process(p);
@@ -113,7 +117,9 @@ fn sliding_window_handles_general_data_too() {
     let cfg = SamplerConfig::builder(1, alpha)
         .seed(9)
         .expected_len(300)
-        .kappa0(1.0).build().unwrap();
+        .kappa0(1.0)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(20)).unwrap();
     for i in 0..300u64 {
         let p = &pts[(i as usize) % pts.len()];

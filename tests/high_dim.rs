@@ -78,7 +78,9 @@ fn high_dim_sampling_is_uniformish() {
             .high_dim()
             .seed(run * 191 + 7)
             .expected_len(stream.len() as u64)
-            .kappa0(1.0).build().unwrap();
+            .kappa0(1.0)
+            .build()
+            .unwrap();
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         for (p, _) in &stream {
             s.process(p);
@@ -106,9 +108,9 @@ fn high_dim_sampling_is_uniformish() {
 fn adj_dfs_stays_cheap_in_high_dim() {
     // Lemma 4.2's consequence: |adj(p)| is small despite the 3^d
     // neighbourhood, so the DFS visits few cells.
-    use rds_geometry::{adjacent_cells, Grid};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rds_geometry::{adjacent_cells, Grid};
     let dim = 20;
     let alpha = 0.1;
     let mut rng = StdRng::seed_from_u64(5);
@@ -147,7 +149,9 @@ fn jl_sampler_handles_extreme_dimension() {
     }
     let cfg = SamplerConfig::builder(dim, alpha)
         .seed(7)
-        .expected_len(stream.len() as u64).build().unwrap();
+        .expected_len(stream.len() as u64)
+        .build()
+        .unwrap();
     let mut s = JlRobustSampler::try_new(dim, alpha, 0.5, cfg).unwrap();
     for (p, _) in &stream {
         s.process(p);

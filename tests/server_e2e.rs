@@ -4,11 +4,11 @@
 //! during sustained ingest, and a checkpoint saved over HTTP must
 //! restore into a fresh server that answers identically.
 
+use rds_geometry::Point;
 use rds_server::api_types::{F0Response, QueryResponse};
 use rds_server::client::{self, Conn};
 use rds_server::{bind, BackendConfig, ServerConfig};
 use robust_distinct_sampling::Rds;
-use rds_geometry::Point;
 
 const DIM: usize = 2;
 const ALPHA: f64 = 0.5;
@@ -47,10 +47,20 @@ fn start(backend: BackendConfig) -> rds_server::ServerHandle {
 fn ingest_batch(conn: &mut Conn, batch: &[Vec<f64>]) {
     let rows: Vec<String> = batch
         .iter()
-        .map(|p| format!("[{}]", p.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")))
+        .map(|p| {
+            format!(
+                "[{}]",
+                p.iter()
+                    .map(|c| c.to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            )
+        })
         .collect();
     let body = format!("{{\"points\": [{}]}}", rows.join(","));
-    let (status, resp) = conn.request("POST", "/ingest", Some(&body)).expect("ingest");
+    let (status, resp) = conn
+        .request("POST", "/ingest", Some(&body))
+        .expect("ingest");
     assert_eq!(status, 200, "{resp}");
 }
 
@@ -106,16 +116,29 @@ fn over_the_wire_results_are_bit_identical_to_in_process() {
 
     let f0 = served_f0(addr);
     assert_eq!(f0.seen, N_POINTS);
-    assert_eq!(f0.epoch, N_POINTS / PUBLISH_EVERY, "cadence fired per batch");
+    assert_eq!(
+        f0.epoch,
+        N_POINTS / PUBLISH_EVERY,
+        "cadence fired per batch"
+    );
 
     let q = served_query(addr);
     let (expected_f0, expected_records) = in_process();
 
     // bit-identical: exact f64 equality, not approximate
-    assert_eq!(f0.f0.to_bits(), expected_f0.to_bits(), "served f0 {} != in-process {}", f0.f0, expected_f0);
+    assert_eq!(
+        f0.f0.to_bits(),
+        expected_f0.to_bits(),
+        "served f0 {} != in-process {}",
+        f0.f0,
+        expected_f0
+    );
     assert_eq!(q.records.len(), expected_records.len());
     for (got, (rep, count)) in q.records.iter().zip(&expected_records) {
-        assert_eq!(&got.rep, rep, "representative coordinates must round-trip exactly");
+        assert_eq!(
+            &got.rep, rep,
+            "representative coordinates must round-trip exactly"
+        );
         assert_eq!(got.count, *count);
     }
     handle.shutdown_and_join();
@@ -214,7 +237,11 @@ fn checkpoint_over_http_restores_into_an_identical_server() {
     let addr_b = b.addr();
     let f0_b = served_f0(addr_b);
     let q_b = served_query(addr_b);
-    assert_eq!(f0_a.f0.to_bits(), f0_b.f0.to_bits(), "restored f0 must be bit-identical");
+    assert_eq!(
+        f0_a.f0.to_bits(),
+        f0_b.f0.to_bits(),
+        "restored f0 must be bit-identical"
+    );
     assert_eq!(f0_a.seen, f0_b.seen);
     assert_eq!(q_a.records.len(), q_b.records.len());
     for (ra, rb) in q_a.records.iter().zip(&q_b.records) {
@@ -235,7 +262,11 @@ fn checkpoint_over_http_restores_into_an_identical_server() {
     .expect("live restore");
     assert_eq!(status, 200, "{body}");
     let f0_c = served_f0(addr_c);
-    assert_eq!(f0_a.f0.to_bits(), f0_c.f0.to_bits(), "live restore must be bit-identical");
+    assert_eq!(
+        f0_a.f0.to_bits(),
+        f0_c.f0.to_bits(),
+        "live restore must be bit-identical"
+    );
     let q_c = served_query(addr_c);
     assert_eq!(q_a.records.len(), q_c.records.len());
     c.shutdown_and_join();

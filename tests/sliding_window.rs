@@ -19,7 +19,10 @@ fn noisy_stream(seed: u64, len: usize) -> (Vec<StreamItem>, Vec<usize>, f64) {
     let mut i = 0usize;
     while items.len() < len {
         let lp = &ds.points[i % ds.len()];
-        items.push(StreamItem::new(lp.point.clone(), Stamp::at(items.len() as u64)));
+        items.push(StreamItem::new(
+            lp.point.clone(),
+            Stamp::at(items.len() as u64),
+        ));
         labels.push(lp.group);
         i += 1;
     }
@@ -41,7 +44,9 @@ fn hierarchical_sampler_tracks_only_live_groups() {
     let w = 64u64;
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(5)
-        .expected_len(items.len() as u64).build().unwrap();
+        .expected_len(items.len() as u64)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(w)).unwrap();
     for (i, it) in items.iter().enumerate() {
         s.process(it);
@@ -73,7 +78,9 @@ fn fixed_rate_level0_equals_brute_force_group_set() {
     let w = 48u64;
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(7)
-        .expected_len(items.len() as u64).build().unwrap();
+        .expected_len(items.len() as u64)
+        .build()
+        .unwrap();
     let mut s = FixedRateWindowSampler::new(cfg, Window::Sequence(w), 0);
     for (i, it) in items.iter().enumerate() {
         s.process(it);
@@ -100,7 +107,9 @@ fn time_window_expires_by_timestamp_not_position() {
         .collect();
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(9)
-        .expected_len(timed.len() as u64).build().unwrap();
+        .expected_len(timed.len() as u64)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Time(3)).unwrap();
     for it in &timed {
         s.process(it);
@@ -120,12 +129,17 @@ fn window_of_one_returns_the_last_point() {
     let (items, _, alpha) = noisy_stream(4, 100);
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(11)
-        .expected_len(items.len() as u64).build().unwrap();
+        .expected_len(items.len() as u64)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(1)).unwrap();
     for it in &items {
         s.process(it);
         let q = s.query().expect("non-empty");
-        assert_eq!(q.latest, it.point, "window of 1 must return the newest point");
+        assert_eq!(
+            q.latest, it.point,
+            "window of 1 must return the newest point"
+        );
     }
 }
 
@@ -137,7 +151,9 @@ fn massive_window_behaves_like_infinite_window() {
     let (items, labels, alpha) = noisy_stream(5, 300);
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(13)
-        .expected_len(items.len() as u64).build().unwrap();
+        .expected_len(items.len() as u64)
+        .build()
+        .unwrap();
     let mut sw = SlidingWindowSampler::try_new(cfg, Window::Sequence(1 << 20)).unwrap();
     for it in &items {
         sw.process(it);
@@ -153,7 +169,9 @@ fn stressed_sampler_never_misses_a_query() {
     let cfg = SamplerConfig::builder(3, alpha)
         .seed(17)
         .expected_len(items.len() as u64)
-        .kappa0(0.5).build().unwrap();
+        .kappa0(0.5)
+        .build()
+        .unwrap();
     let mut s = SlidingWindowSampler::try_new(cfg, Window::Sequence(128)).unwrap();
     for it in &items {
         s.process(it);

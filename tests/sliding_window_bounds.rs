@@ -15,7 +15,9 @@ fn item(x: f64, seq: u64) -> StreamItem {
 fn cfg(seed: u64) -> SamplerConfig {
     SamplerConfig::builder(1, 0.5)
         .seed(seed)
-        .expected_len(1 << 10).build().unwrap()
+        .expected_len(1 << 10)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -36,7 +38,7 @@ fn item_expires_at_exactly_width_steps() {
     let w = 8u64;
     let mut s = SlidingWindowSampler::try_new(cfg(1), Window::Sequence(w)).unwrap();
     s.process(&item(0.0, 0)); // group 0
-    // arrivals 1..w-1 of a far-away group: group 0 must stay sampled-able
+                              // arrivals 1..w-1 of a far-away group: group 0 must stay sampled-able
     for seq in 1..w {
         s.process(&item(500.0, seq));
         let some_zero = (0..20).any(|_| {
@@ -132,7 +134,10 @@ fn time_window_expires_at_exactly_width_time_steps() {
     // now = 14: time 10 > 14 - 5 holds, still live
     s.process(&StreamItem::new(Point::new(vec![500.0]), Stamp::new(1, 14)));
     let live_groups: Vec<f64> = s.all_entries().map(|e| e.last.get(0)).collect();
-    assert!(live_groups.iter().any(|&x| x < 1.0), "group 0 expired early");
+    assert!(
+        live_groups.iter().any(|&x| x < 1.0),
+        "group 0 expired early"
+    );
     // now = 15: time 10 == 15 - 5 fails, expires exactly now
     s.process(&StreamItem::new(Point::new(vec![500.0]), Stamp::new(2, 15)));
     let live_groups: Vec<f64> = s.all_entries().map(|e| e.last.get(0)).collect();

@@ -6,10 +6,10 @@
 //! and an HTTP-initiated shutdown must park every tenant on disk so a
 //! fresh server on the same spill directory resumes them exactly.
 
+use rds_geometry::Point;
 use rds_server::api_types::{F0Response, QueryResponse, TenantHealthResponse};
 use rds_server::client::{self, Conn};
 use rds_server::{bind, BackendConfig, ServerConfig, TenancyConfig};
-use rds_geometry::Point;
 use rds_tenant::{TenantRegistry, TenantTemplate};
 
 const DIM: usize = 2;
@@ -21,10 +21,7 @@ const ROUNDS: u64 = 4;
 const BATCH: u64 = 25;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "rds-tenant-e2e-{}-{tag}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("rds-tenant-e2e-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -80,8 +77,7 @@ fn points(batch: &[Vec<f64>]) -> Vec<Point> {
 /// registry, so the served budget can be sized to hold only ~2 of the
 /// 6 tenants — every round then evicts somebody.
 fn words_per_tenant(dir: &std::path::Path) -> usize {
-    let probe =
-        TenantRegistry::new(template(), usize::MAX / 2, dir.join("probe")).expect("probe");
+    let probe = TenantRegistry::new(template(), usize::MAX / 2, dir.join("probe")).expect("probe");
     let mut words = 1;
     for r in 0..ROUNDS {
         let ack = probe
@@ -105,7 +101,10 @@ fn http_ingest(conn: &mut Conn, id: &str, batch: &[Vec<f64>]) {
         .map(|p| {
             format!(
                 "[{}]",
-                p.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")
+                p.iter()
+                    .map(|c| c.to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
             )
         })
         .collect();
@@ -124,13 +123,9 @@ fn http_f0(addr: std::net::SocketAddr, id: &str) -> F0Response {
 }
 
 fn http_query(addr: std::net::SocketAddr, id: &str) -> QueryResponse {
-    let (status, body) = client::request_once(
-        addr,
-        "GET",
-        &format!("/t/{id}/query_k?k=5&seed=7"),
-        None,
-    )
-    .expect("query_k");
+    let (status, body) =
+        client::request_once(addr, "GET", &format!("/t/{id}/query_k?k=5&seed=7"), None)
+            .expect("query_k");
     assert_eq!(status, 200, "{body}");
     serde_json::from_str(&body).expect("query response parses")
 }
@@ -231,12 +226,17 @@ fn global_and_tenant_streams_do_not_bleed_into_each_other() {
         .map(|p| {
             format!(
                 "[{}]",
-                p.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")
+                p.iter()
+                    .map(|c| c.to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
             )
         })
         .collect();
     let body = format!("{{\"points\": [{}]}}", rows.join(","));
-    let (status, resp) = conn.request("POST", "/ingest", Some(&body)).expect("global ingest");
+    let (status, resp) = conn
+        .request("POST", "/ingest", Some(&body))
+        .expect("global ingest");
     assert_eq!(status, 200, "{resp}");
     http_ingest(&mut conn, "a", &batch(1, 0));
     http_ingest(&mut conn, "a", &batch(1, 1));
@@ -246,7 +246,11 @@ fn global_and_tenant_streams_do_not_bleed_into_each_other() {
     assert_eq!(status, 200, "{body}");
     let global_f0: F0Response = serde_json::from_str(&body).expect("parses");
     assert_eq!(global_f0.seen, BATCH, "global stream counts only /ingest");
-    assert_eq!(http_f0(addr, "a").seen, 2 * BATCH, "tenant a counts only its own");
+    assert_eq!(
+        http_f0(addr, "a").seen,
+        2 * BATCH,
+        "tenant a counts only its own"
+    );
     assert_eq!(http_f0(addr, "b").seen, 0, "tenant b was never written");
     handle.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -271,9 +275,16 @@ fn http_shutdown_parks_tenants_and_a_restart_resumes_them_bit_identically() {
         }
     }
     let before: Vec<(F0Response, QueryResponse)> = (0..3)
-        .map(|t| (http_f0(addr_a, &tenant_id(t)), http_query(addr_a, &tenant_id(t))))
+        .map(|t| {
+            (
+                http_f0(addr_a, &tenant_id(t)),
+                http_query(addr_a, &tenant_id(t)),
+            )
+        })
         .collect();
-    let (status, body) = conn.request("POST", "/admin/shutdown", None).expect("shutdown");
+    let (status, body) = conn
+        .request("POST", "/admin/shutdown", None)
+        .expect("shutdown");
     assert_eq!(status, 200, "{body}");
     drop(conn);
     a.join();
@@ -290,7 +301,10 @@ fn http_shutdown_parks_tenants_and_a_restart_resumes_them_bit_identically() {
             f0_b.f0.to_bits(),
             "tenant {id}: restarted f0 must be bit-identical"
         );
-        assert_eq!(f0_a.seen, f0_b.seen, "tenant {id}: seen diverged across restart");
+        assert_eq!(
+            f0_a.seen, f0_b.seen,
+            "tenant {id}: seen diverged across restart"
+        );
         let q_b = http_query(addr_b, &id);
         assert_eq!(q_a.records.len(), q_b.records.len(), "tenant {id}");
         for (ra, rb) in q_a.records.iter().zip(&q_b.records) {

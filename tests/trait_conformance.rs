@@ -10,6 +10,8 @@
 //! * edge cases: the empty stream yields `query_record() == None`,
 //!   `f0_estimate() == 0`, and `query_k(0)` is always empty.
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use rds_core::{
     DistinctSampler, FixedRateWindowSampler, JlRobustSampler, KDistinctSampler,
     MetricRobustSampler, RobustL0Sampler, SamplerConfig, SamplerSummary, SimHashPartitioner,
@@ -17,8 +19,6 @@ use rds_core::{
 };
 use rds_geometry::{standard_normal, Point};
 use rds_stream::{Stamp, StreamItem, Window};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 const N_GROUPS: usize = 12;
 const PER_GROUP: usize = 8;
@@ -61,10 +61,7 @@ fn angular_stream(dim: usize, seed: u64) -> Vec<StreamItem> {
             );
             let v = c.add(&noise);
             let seq = (j * N_GROUPS + g) as u64;
-            items.push(StreamItem::new(
-                v.scale(1.0 / v.norm()),
-                Stamp::at(seq),
-            ));
+            items.push(StreamItem::new(v.scale(1.0 / v.norm()), Stamp::at(seq)));
         }
     }
     items
@@ -124,14 +121,8 @@ where
         .map_err(|_| "three shards")
         .unwrap();
     let (a2, b2, c2) = (a.clone(), b.clone(), c.clone());
-    let forward = a
-        .merge(b.merge(c).expect("same cfg"))
-        .expect("same cfg");
-    let backward = c2
-        .merge(a2)
-        .expect("same cfg")
-        .merge(b2)
-        .expect("same cfg");
+    let forward = a.merge(b.merge(c).expect("same cfg")).expect("same cfg");
+    let backward = c2.merge(a2).expect("same cfg").merge(b2).expect("same cfg");
     assert_eq!(
         forward.f0_estimate(),
         backward.f0_estimate(),
@@ -155,11 +146,14 @@ where
     );
 }
 
-
 fn cfg(dim: usize) -> SamplerConfig {
     // threshold kappa0 * log2(m) = 80 >> 12 groups: nothing subsamples,
     // every family counts exactly.
-    SamplerConfig::builder(dim, 0.5).seed(9).expected_len(1 << 20).build().unwrap()
+    SamplerConfig::builder(dim, 0.5)
+        .seed(9)
+        .expected_len(1 << 20)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -234,7 +228,8 @@ fn metric_robust_sampler_conforms() {
                 SimHashPartitioner::try_new(dim, 12, 0.05, 7).unwrap(),
                 64, // threshold >> 12 groups: exact counting
                 9,
-            ).unwrap()
+            )
+            .unwrap()
         },
         &stream,
         N_GROUPS as f64,
@@ -255,7 +250,11 @@ fn jl_queries_return_ambient_space_points() {
     assert!(stream.iter().any(|it| it.point == rec.rep));
     let summary = s.into_summary();
     let merged_rec = summary.query_record(1).expect("non-empty");
-    assert_eq!(merged_rec.rep.dim(), dim, "summary query must be ambient-space");
+    assert_eq!(
+        merged_rec.rep.dim(),
+        dim,
+        "summary query must be ambient-space"
+    );
 }
 
 #[test]

@@ -14,7 +14,9 @@ fn known_partition_stream(n_points: u64, n_entities: u64) -> Vec<Point> {
     (0..n_points)
         .map(|i| {
             let e = i % n_entities;
-            Point::new(vec![e as f64 * 10.0 + 0.02 * ((i / n_entities) % 10) as f64])
+            Point::new(vec![
+                e as f64 * 10.0 + 0.02 * ((i / n_entities) % 10) as f64,
+            ])
         })
         .collect()
 }
@@ -33,7 +35,9 @@ fn per_entity_deviation_stays_within_the_std_dev_nm_bound() {
         let cfg = SamplerConfig::builder(1, 0.5)
             .seed(run * 6151 + 3)
             .expected_len(points.len() as u64)
-            .kappa0(1.0).build().unwrap(); // tight threshold: rate doublings do occur
+            .kappa0(1.0)
+            .build()
+            .unwrap(); // tight threshold: rate doublings do occur
         let mut s = RobustL0Sampler::try_new(cfg).unwrap();
         s.process_batch(&points);
         let sample = s.query().expect("stream non-empty").clone();
