@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> cargo fmt --check (the workspace stays rustfmt-clean)"
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -62,8 +65,10 @@ echo "==> perfbench gates (3 s runs)"
 # Bounds sit at most half the slowest (floors) or at least 3x the
 # highest (ceilings) of 5-10 runs on a 2-vCPU VM; CHANGES.md lists them.
 # R^5 arrival: a duplicate check that falls back to a linear scan ran
-# `sample` at ~0.88M pts/s; the bucket index runs it at 5.0-5.5M.
-perf_gate sample 0 ingest_pts_per_s ">=" 2000000
+# `sample` at ~0.88M pts/s; the bucket index with shared point
+# coordinates runs it at 6.3-7.5M (5.0-5.5M with copied coordinates, so
+# tests/concurrent_split.rs, not this floor, guards the sharing).
+perf_gate sample 0 ingest_pts_per_s ">=" 3000000
 # Sharded publication: a linear summary merge (O(F0^2) per publish)
 # runs `count` at 0.47-0.53M pts/s; the indexed merge at 1.27-1.87M.
 perf_gate count 0 ingest_pts_per_s ">=" 600000

@@ -17,7 +17,7 @@ use rds_hashing::point_identity;
 use rds_metrics::SampleHistogram;
 use rds_stream::{Stamp, StreamItem, Window};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 #[derive(Clone, Debug)]
@@ -454,7 +454,7 @@ fn main() -> ExitCode {
         println!("results written to {path}");
     }
 
-    let mut census: HashMap<&str, usize> = HashMap::new();
+    let mut census: BTreeMap<&str, usize> = BTreeMap::new();
     census.insert("figures", all.figures.len());
     census.insert("costs", all.costs.len());
     census.insert("f0", all.f0.len());

@@ -544,7 +544,9 @@ pub fn parse_line(line: &str, with_time: bool) -> Result<Option<(Point, u64)>, S
         .iter()
         .map(|t| t.parse().map_err(|_| format!("invalid coordinate {t}")))
         .collect();
-    Ok(Some((Point::new(coords?), time)))
+    // `parse` accepts "nan" and "inf", which no point may hold.
+    let point = Point::try_from_slice(&coords?).map_err(|e| format!("invalid point: {e}"))?;
+    Ok(Some((point, time)))
 }
 
 /// Builds the facade handle for `sample`/`count` once the stream
@@ -887,6 +889,8 @@ mod tests {
     #[test]
     fn rejects_garbage_coordinates() {
         assert!(parse_line("1,two,3", false).is_err());
+        assert!(parse_line("nan,1", false).is_err());
+        assert!(parse_line("1,-inf", false).is_err());
         assert!(parse_line("1,2,notatime", true).is_err());
     }
 

@@ -44,7 +44,10 @@ use std::sync::Arc;
 /// The candidate sets live behind [`Arc`] handles so that snapshot
 /// publication can share ("copy-on-write") the sets of an unchanged
 /// sampler across epochs instead of deep-copying them; `Arc` serializes
-/// transparently, so the JSON shape is the same as a plain `Vec`.
+/// transparently, so the JSON shape is the same as a plain `Vec`. A
+/// rebuilt set copies each record's count and hash but shares its points
+/// with the sampler (a [`Point`] clone is a reference-count bump), so no
+/// coordinate is ever copied on publication, merge or query.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MergedSummary {
     cfg: SamplerConfig,

@@ -409,13 +409,6 @@ impl RobustL0Sampler {
     pub fn context(&self) -> &SamplerContext {
         &self.ctx
     }
-
-    /// Consumes the sampler, handing out both candidate sets without
-    /// cloning any point (the cheap path behind
-    /// [`DistinctSampler::into_summary`]).
-    pub(crate) fn into_sets(self) -> (Vec<GroupRecord>, Vec<GroupRecord>) {
-        self.store.into_records()
-    }
 }
 
 /// The serializable full state of a [`RobustL0Sampler`]: both candidate
@@ -554,7 +547,8 @@ impl DistinctSampler for RobustL0Sampler {
 
     /// Returns the cached summary when the candidate sets are unchanged
     /// since the last call (an `Arc`-sharing clone, no record is copied);
-    /// rebuilds and re-caches otherwise.
+    /// rebuilds and re-caches otherwise. A rebuild copies each record's
+    /// count and hash, but its points share the store's coordinates.
     fn summary_cow(&mut self) -> MergedSummary {
         if let Some(cached) = &self.summary_cache {
             return cached.clone();
@@ -562,13 +556,6 @@ impl DistinctSampler for RobustL0Sampler {
         let built = self.summary();
         self.summary_cache = Some(built.clone());
         built
-    }
-
-    fn into_summary(self) -> MergedSummary {
-        let cfg = self.ctx.cfg().clone();
-        let level = self.level;
-        let (acc, rej) = self.into_sets();
-        MergedSummary::from_parts(cfg, level, acc, rej)
     }
 }
 

@@ -323,13 +323,6 @@ impl DistinctSampler for JlRobustSampler {
             originals: self.originals.clone(),
         }
     }
-
-    fn into_summary(self) -> JlSummary {
-        JlSummary {
-            inner: DistinctSampler::into_summary(self.inner),
-            originals: self.originals,
-        }
-    }
 }
 
 #[cfg(test)]

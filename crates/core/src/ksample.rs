@@ -155,10 +155,6 @@ impl DistinctSampler for KDistinctSampler {
     fn summary(&self) -> MergedSummary {
         DistinctSampler::summary(&self.inner)
     }
-
-    fn into_summary(self) -> MergedSummary {
-        DistinctSampler::into_summary(self.inner)
-    }
 }
 
 /// Draws `k` samples with replacement: `k` independent copies of

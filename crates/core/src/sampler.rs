@@ -205,7 +205,9 @@ pub trait DistinctSampler {
 /// Internally the entries are held as a sequence of immutable
 /// [`Arc`]-shared chunks (one per dirty-tracked source level), so
 /// snapshot publication can reuse the chunks of levels untouched since
-/// the previous epoch instead of deep-copying every entry. Queries,
+/// the previous epoch instead of deep-copying every entry; a rebuilt
+/// chunk's entries share their points' coordinates with the sampler's
+/// (a `Point` clone is a reference-count bump). Queries,
 /// merging and serialization observe the flattened concatenation of the
 /// chunks; the serialized JSON shape (`entries: [[level, entry], ...]`)
 /// is identical to the flat representation.

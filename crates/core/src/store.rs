@@ -10,7 +10,11 @@
 //! * **SoA columns** — `cell_hashes` / `counts` / `reps` / `reservoirs` /
 //!   chain-rank tags, one entry per record, addressed by a stable slot
 //!   index, plus a flat `dim`-strided mirror of the representatives'
-//!   coordinates for the distance test.
+//!   coordinates for the distance test. `reps` and `reservoirs` hold
+//!   [`Point`]s whose coordinates are shared, not owned: a new record
+//!   shares the arriving point's buffer, reservoir replacement swaps one
+//!   reference for another, and every summary built from the store
+//!   shares the same buffers. `reps_flat` is the probe's contiguous copy.
 //! * **Bucket index** — the summary merges' near-duplicate index
 //!   (`merge_index.rs`) over every representative, under its slot:
 //!   buckets of width `2α` over the first one or two coordinates, so a
@@ -190,10 +194,11 @@ impl CandidateStore {
         *c
     }
 
-    /// Replaces the reservoir member of `slot`.
+    /// Replaces the reservoir member of `slot` with `p`, sharing `p`'s
+    /// coordinates: a reference-count swap, no copy.
     #[inline]
     pub fn set_reservoir(&mut self, slot: u32, p: &Point) {
-        self.reservoirs[slot as usize].clone_from(p);
+        self.reservoirs[slot as usize] = p.clone();
     }
 
     /// The stored cell hash (`h(cell(rep))`) of `slot`.
@@ -266,7 +271,7 @@ impl CandidateStore {
     }
 
     /// The rate-doubling refilter, as one compaction pass over the
-    /// columns (no record is cloned):
+    /// columns (no coordinate is copied):
     ///
     /// * accept records stay accepted while `keep_acc(cell_hash)` holds
     ///   (Fact 1b: survivors are a subset);
@@ -318,17 +323,13 @@ impl CandidateStore {
         let mut remap = vec![DROPPED; self.reps.len()];
         let mut order: Vec<u32> = Vec::with_capacity(live);
         for &slot in self.acc_slots.iter().chain(self.rej_slots.iter()) {
+            debug_assert_eq!(
+                remap[slot as usize], DROPPED,
+                "a live slot was referenced twice"
+            );
             remap[slot as usize] = order.len() as u32;
             order.push(slot);
         }
-        let mut reps_old: Vec<Option<Point>> = std::mem::take(&mut self.reps)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut reservoirs_old: Vec<Option<Point>> = std::mem::take(&mut self.reservoirs)
-            .into_iter()
-            .map(Some)
-            .collect();
         let mut cell_hashes = Vec::with_capacity(live);
         let mut counts = Vec::with_capacity(live);
         let mut ranks = Vec::with_capacity(live);
@@ -339,14 +340,9 @@ impl CandidateStore {
             cell_hashes.push(self.cell_hashes[s]);
             counts.push(self.counts[s]);
             ranks.push(self.ranks[s]);
-            if let Some(p) = reps_old[s].take() {
-                reps.push(p);
-            }
-            if let Some(p) = reservoirs_old[s].take() {
-                reservoirs.push(p);
-            }
+            reps.push(self.reps[s].clone());
+            reservoirs.push(self.reservoirs[s].clone());
         }
-        debug_assert_eq!(reps.len(), live, "a live slot was referenced twice");
         self.cell_hashes = cell_hashes;
         self.counts = counts;
         self.ranks = ranks;
@@ -362,7 +358,8 @@ impl CandidateStore {
         self.index = OnceLock::new();
     }
 
-    /// Materializes one record (cloning both points).
+    /// Materializes one record (its points share the store's
+    /// coordinates).
     pub fn record_at(&self, slot: u32) -> GroupRecord {
         let s = slot as usize;
         GroupRecord {
@@ -383,31 +380,6 @@ impl CandidateStore {
     /// Materializes the reject set as owned records, in insertion order.
     pub fn rej_records(&self) -> Vec<GroupRecord> {
         self.rej_slots.iter().map(|&s| self.record_at(s)).collect()
-    }
-
-    /// Consumes the store, materializing `(accept, reject)` record
-    /// vectors without cloning any point.
-    pub fn into_records(self) -> (Vec<GroupRecord>, Vec<GroupRecord>) {
-        let mut reps: Vec<Option<Point>> = self.reps.into_iter().map(Some).collect();
-        let mut reservoirs: Vec<Option<Point>> = self.reservoirs.into_iter().map(Some).collect();
-        let mut take_list = |slots: &[u32]| -> Vec<GroupRecord> {
-            let mut out = Vec::with_capacity(slots.len());
-            for &slot in slots {
-                let s = slot as usize;
-                if let (Some(rep), Some(reservoir)) = (reps[s].take(), reservoirs[s].take()) {
-                    out.push(GroupRecord {
-                        rep,
-                        cell_hash: self.cell_hashes[s],
-                        count: self.counts[s],
-                        reservoir,
-                    });
-                }
-            }
-            out
-        };
-        let acc = take_list(&self.acc_slots);
-        let rej = take_list(&self.rej_slots);
-        (acc, rej)
     }
 
     /// Rebuilds a store from materialized record vectors (the checkpoint
@@ -525,13 +497,6 @@ mod tests {
         let rej = store.rej_records();
         assert!(acc.windows(2).all(|w| w[0].rep.get(0) < w[1].rep.get(0)));
         assert!(rej.windows(2).all(|w| w[0].rep.get(0) < w[1].rep.get(0)));
-        let (acc2, rej2) = store.clone().into_records();
-        assert_eq!(acc.len(), acc2.len());
-        assert_eq!(rej.len(), rej2.len());
-        for (a, b) in acc.iter().zip(acc2.iter()) {
-            assert_eq!(a.rep, b.rep);
-            assert_eq!(a.cell_hash, b.cell_hash);
-        }
         let rebuilt = CandidateStore::from_records(acc, rej, |p| p.get(0) as u64);
         assert_eq!(rebuilt.acc_len(), store.acc_len());
         assert_eq!(rebuilt.rej_len(), store.rej_len());

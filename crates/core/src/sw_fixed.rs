@@ -374,14 +374,6 @@ impl FixedRateWindowSampler {
             self.mutations += 1;
         }
     }
-
-    /// Moves every entry out (the cheap `into_summary` path).
-    pub(crate) fn take_entries(&mut self) -> Vec<WindowGroupEntry> {
-        if !self.entries.is_empty() {
-            self.mutations += 1;
-        }
-        std::mem::take(&mut self.entries)
-    }
 }
 
 /// The serializable state of one fixed-rate instance: its rate exponent,
@@ -573,18 +565,6 @@ impl DistinctSampler for FixedRateWindowSampler {
             .map(|e| (level, e.clone()))
             .collect();
         WindowSummary::from_parts(self.ctx.cfg().clone(), entries)
-    }
-
-    fn into_summary(mut self) -> WindowSummary {
-        let cfg = self.ctx.cfg().clone();
-        let level = self.level;
-        let entries = self
-            .take_entries()
-            .into_iter()
-            .filter(|e| e.accepted)
-            .map(|e| (level, e))
-            .collect();
-        WindowSummary::from_parts(cfg, entries)
     }
 }
 

@@ -577,22 +577,6 @@ impl DistinctSampler for SlidingWindowSampler {
         }
         WindowSummary::from_chunks(self.ctx.cfg().clone(), chunks)
     }
-
-    fn into_summary(mut self) -> WindowSummary {
-        let cfg = self.ctx.cfg().clone();
-        let entries = self
-            .levels
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(l, lvl)| {
-                lvl.take_entries()
-                    .into_iter()
-                    .filter(|e| e.accepted)
-                    .map(move |e| (l as u32, e))
-            })
-            .collect();
-        WindowSummary::from_parts(cfg, entries)
-    }
 }
 
 #[cfg(test)]

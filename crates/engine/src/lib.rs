@@ -389,7 +389,7 @@ fn reduce<S: DistinctSampler>(summaries: Vec<S::Summary>) -> S::Summary {
 /// [`flush`](Self::flush) explicitly when a read must include every
 /// ingested item. Dropping the engine shuts the workers down;
 /// [`finish`](Self::finish) flushes, then hands back the final merged
-/// summary without cloning shard state.
+/// summary.
 pub struct ShardedEngine<S: DistinctSampler = RobustL0Sampler> {
     cfg: SamplerConfig,
     shards: Shards<S>,

@@ -7,11 +7,15 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A point in `d`-dimensional Euclidean space.
 ///
-/// Coordinates are stored in a boxed slice so that a `Point` is two words on
-/// the stack and cheap to move. Cloning copies the coordinates.
+/// Coordinates are immutable and held in a shared `Arc<[f64]>`, so a
+/// `Point` is two words on the stack and cloning it bumps a reference
+/// count instead of copying the coordinates. A sampler's records, the
+/// summaries it publishes and the answers a reader gets all share one
+/// buffer per point.
 ///
 /// # Examples
 ///
@@ -23,24 +27,9 @@ use std::fmt;
 /// assert_eq!(p.distance(&q), 5.0);
 /// assert_eq!(p.dim(), 2);
 /// ```
-#[derive(PartialEq, Serialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Point {
-    coords: Box<[f64]>,
-}
-
-impl Clone for Point {
-    fn clone(&self) -> Self {
-        Self {
-            coords: self.coords.clone(),
-        }
-    }
-
-    // Reservoir replacement overwrites points of identical dimension in a
-    // tight loop; reusing the existing allocation keeps that path off the
-    // allocator (the derive's clone_from would reallocate every time).
-    fn clone_from(&mut self, source: &Self) {
-        self.coords.clone_from(&source.coords);
-    }
+    coords: Arc<[f64]>,
 }
 
 // Deserialization is manual (same wire shape as the derive would emit) so
@@ -52,17 +41,7 @@ impl Deserialize for Point {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let coords = Vec::<f64>::from_value(value.get("coords").unwrap_or(&serde::Value::Null))
             .map_err(|e| serde::DeError::custom(format!("field `coords`: {e}")))?;
-        if coords.is_empty() {
-            return Err(serde::DeError::custom(
-                "a point must have at least 1 dimension",
-            ));
-        }
-        if !coords.iter().all(|c| c.is_finite()) {
-            return Err(serde::DeError::custom("point coordinates must be finite"));
-        }
-        Ok(Self {
-            coords: coords.into_boxed_slice(),
-        })
+        Self::try_from_slice(&coords).map_err(serde::DeError::custom)
     }
 }
 
@@ -74,14 +53,35 @@ impl Point {
     /// Panics if `coords` is empty or contains a non-finite coordinate;
     /// the grid arithmetic in this crate requires finite coordinates.
     pub fn new(coords: Vec<f64>) -> Self {
-        assert!(!coords.is_empty(), "a point must have at least 1 dimension");
-        assert!(
-            coords.iter().all(|c| c.is_finite()),
-            "point coordinates must be finite"
-        );
-        Self {
-            coords: coords.into_boxed_slice(),
+        Self::from_slice(&coords)
+    }
+
+    /// Creates a point by copying `coords` into one new allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Point::new`].
+    pub fn from_slice(coords: &[f64]) -> Self {
+        Self::try_from_slice(coords).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// [`Point::from_slice`] for untrusted input: an empty or non-finite
+    /// `coords` is an error naming the broken invariant, not a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `coords` is empty or holds a non-finite
+    /// coordinate.
+    pub fn try_from_slice(coords: &[f64]) -> Result<Self, &'static str> {
+        if coords.is_empty() {
+            return Err("a point must have at least 1 dimension");
         }
+        if !coords.iter().all(|c| c.is_finite()) {
+            return Err("point coordinates must be finite");
+        }
+        Ok(Self {
+            coords: Arc::from(coords),
+        })
     }
 
     /// Creates the origin of `R^dim`.
@@ -311,6 +311,33 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_coordinate_panics() {
         let _ = Point::new(vec![f64::NAN]);
+    }
+
+    #[test]
+    fn clone_shares_the_coordinates() {
+        let p = Point::new(vec![1.0, 2.0, 3.0]);
+        let q = p.clone();
+        assert_eq!(p, q);
+        assert_eq!(p.coords().as_ptr(), q.coords().as_ptr());
+    }
+
+    #[test]
+    fn slice_constructors_check_like_new() {
+        assert_eq!(Point::from_slice(&[1.0, -2.0]), Point::new(vec![1.0, -2.0]));
+        assert_eq!(
+            Point::try_from_slice(&[]),
+            Err("a point must have at least 1 dimension")
+        );
+        assert_eq!(
+            Point::try_from_slice(&[0.0, f64::INFINITY]),
+            Err("point coordinates must be finite")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn from_slice_panics_on_a_non_finite_coordinate() {
+        let _ = Point::from_slice(&[1.0, f64::NAN]);
     }
 
     #[test]

@@ -1112,7 +1112,8 @@ const HOT_PATH_MAP_TYPES: &[&str] = &["HashMap", "BTreeMap"];
 
 /// Allocation entry points flagged inside hot-path bodies. `.clone()`
 /// is deliberately absent: representatives and reservoirs must be
-/// stored, and those clones are per-new-group, not per-point.
+/// stored, and a point clone is a reference-count bump, not an
+/// allocation.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 const ALLOC_PATH_TYPES: &[&str] = &["Vec", "String", "Box", "VecDeque"];
 const ALLOC_PATH_FNS: &[&str] = &["new", "with_capacity", "from"];

@@ -16,8 +16,10 @@ pub(crate) const MAX_BATCH_POINTS: usize = 65_536;
 /// the per-tenant `/t/{tenant}/ingest` handlers.
 ///
 /// Every coordinate is validated *before* constructing `Point`s:
-/// `Point::new` treats empty/non-finite input as a caller bug and
-/// panics, and a panic is exactly what this path must never do.
+/// `Point::from_slice` treats empty/non-finite input as a caller bug and
+/// panics, and a panic is exactly what this path must never do. Each
+/// point is copied straight from the decoded request into its own
+/// shared buffer, one allocation per point.
 pub(crate) fn validate_batch(body: &IngestRequest, dim: usize) -> Result<Vec<Point>, HttpError> {
     if body.points.len() > MAX_BATCH_POINTS {
         return Err(HttpError::new(
@@ -61,7 +63,7 @@ pub(crate) fn validate_batch(body: &IngestRequest, dim: usize) -> Result<Vec<Poi
                 format!("point {i} has a non-finite coordinate"),
             ));
         }
-        points.push(Point::new(coords.clone()));
+        points.push(Point::from_slice(coords));
     }
     Ok(points)
 }

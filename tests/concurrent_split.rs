@@ -286,6 +286,71 @@ fn lock_free_cell_stress_is_epoch_monotone_with_no_torn_reads() {
     }
 }
 
+/// Publication shares point coordinates instead of copying them: every
+/// published point is one of the fed points' own buffers. Between two
+/// publishes that add no group, every record is republished (its count
+/// moved), yet an infinite-window representative keeps the very buffer
+/// it had (a window record reports its group's latest point instead).
+/// A regression to deep copies fails here even when it is fast enough
+/// to clear every throughput floor.
+#[test]
+fn successive_publishes_share_unchanged_records_coordinates() {
+    const ENTITIES: u64 = 16;
+    for shards in [1usize, 2] {
+        for window in [Window::Infinite, Window::Sequence(1 << 12)] {
+            let (mut writer, reader) = Rds::builder()
+                .dim(1)
+                .alpha(0.5)
+                .seed(7)
+                .expected_len(512)
+                .window(window)
+                .shards(shards)
+                .publish_cadence(PublishCadence::Manual)
+                .build_split()
+                .expect("valid");
+            // The fed points stay alive, so no copy can reuse a buffer
+            // address that one of them freed.
+            let mut fed: Vec<Point> = Vec::new();
+            let mut feed = |range: std::ops::Range<u64>| {
+                for i in range {
+                    let p = entity_point(i, ENTITIES);
+                    fed.push(p.clone());
+                    writer.process(p);
+                }
+                writer.publish();
+                reader.snapshot().query_k_at(1_000, 0)
+            };
+            let before = feed(0..ENTITIES * 4);
+            // Only duplicates of the groups above: no group is new.
+            let after = feed(ENTITIES * 4..ENTITIES * 8);
+            let case = format!("shards {shards}, {window:?}");
+            assert!(!before.is_empty(), "{case}");
+            assert_eq!(after.len(), before.len(), "{case}");
+            for rec in &after {
+                for p in [&rec.rep, &rec.reservoir] {
+                    assert!(
+                        fed.iter()
+                            .any(|f| f.coords().as_ptr() == p.coords().as_ptr()),
+                        "{case}: {p:?} is a copy, not a fed point"
+                    );
+                }
+                let old = before
+                    .iter()
+                    .find(|r| r.cell_hash == rec.cell_hash)
+                    .unwrap_or_else(|| panic!("{case}: a new group appeared"));
+                assert!(rec.count > old.count, "{case}: record not republished");
+                if window.is_infinite() {
+                    assert_eq!(
+                        rec.rep.coords().as_ptr(),
+                        old.rep.coords().as_ptr(),
+                        "{case}: the representative was copied"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -398,6 +463,10 @@ proptest! {
                     prop_assert_eq!(&x.rep, &y.rep);
                     prop_assert_eq!(x.count, y.count);
                     prop_assert_eq!(x.cell_hash, y.cell_hash);
+                    // The reservoir is the one field a duplicate replaces
+                    // in a published record's place; an in-place update
+                    // of shared coordinates would show here.
+                    prop_assert_eq!(&x.reservoir, &y.reservoir);
                 }
             }
             // And both equal a from-scratch run over the same prefix.
