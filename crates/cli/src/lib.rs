@@ -294,7 +294,6 @@ pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> 
     let mut addr = "127.0.0.1:8080".to_string();
     let mut threads: Option<usize> = None;
     let mut max_body: Option<usize> = None;
-    let mut queue_depth: Option<usize> = None;
     let mut read_timeout: Option<u64> = None;
     let mut dim: Option<usize> = None;
     let mut alpha: Option<f64> = None;
@@ -321,9 +320,6 @@ pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> 
             "--threads" => threads = Some(parse_num(val("--threads")?, "--threads")?),
             "--max-body-bytes" => {
                 max_body = Some(parse_num(val("--max-body-bytes")?, "--max-body-bytes")?);
-            }
-            "--queue-depth" => {
-                queue_depth = Some(parse_num(val("--queue-depth")?, "--queue-depth")?);
             }
             "--read-timeout-ms" => {
                 read_timeout = Some(parse_num(val("--read-timeout-ms")?, "--read-timeout-ms")?);
@@ -417,9 +413,6 @@ pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> 
     if let Some(m) = max_body {
         cfg.max_body_bytes = m;
     }
-    if let Some(q) = queue_depth {
-        cfg.queue_depth = q;
-    }
     if let Some(r) = read_timeout {
         cfg.read_timeout_ms = r;
     }
@@ -492,7 +485,7 @@ pub fn usage() -> String {
      \x20                       flags: --addr H:P (default 127.0.0.1:8080;\n\
      \x20                       port 0 = ephemeral), --threads N,\n\
      \x20                       --publish-every N, --max-body-bytes B,\n\
-     \x20                       --queue-depth Q, --read-timeout-ms T.\n\
+     \x20                       --read-timeout-ms T.\n\
      \x20                       Multi-tenant mode: --tenants with\n\
      \x20                       --budget-words N (global space budget)\n\
      \x20                       and --spill-dir PATH (eviction spill\n\
@@ -1360,6 +1353,16 @@ mod tests {
         let cfg = parse_serve(&args("--restore /tmp/x.chk --publish-every 10")).expect("valid");
         assert_eq!(cfg.backend.restore_from.as_deref(), Some("/tmp/x.chk"));
         assert_eq!(cfg.backend.publish_every, Some(10));
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_queue_depth_option() {
+        // Global writes wait on the writer lock; there is no queue to size.
+        let err = parse_serve(&args("--dim 2 --alpha 0.5 --queue-depth 8")).expect_err("removed");
+        assert!(
+            err.starts_with("unknown serve option --queue-depth"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! where `code` is a stable snake_case identifier clients can switch
 //! on and `message` is human-readable detail.
 
+use crate::http::HttpError;
 use rds_core::{GroupRecord, RdsError};
 use serde::{Deserialize, Serialize};
 
@@ -259,6 +260,13 @@ pub fn error_status(err: &RdsError) -> u16 {
     match err {
         RdsError::Checkpoint { .. } | RdsError::ConfigMismatch { .. } => 409,
         _ => 400,
+    }
+}
+
+/// A backend error on the wire, with [`error_status`] and [`error_code`].
+impl From<RdsError> for HttpError {
+    fn from(e: RdsError) -> Self {
+        Self::new(error_status(&e), error_code(&e), e.to_string())
     }
 }
 

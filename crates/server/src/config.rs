@@ -105,14 +105,12 @@ pub struct TenancyConfig {
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads answering requests (each holds a cloned
-    /// [`RdsReader`]); writes are funneled to the single writer thread.
+    /// Worker threads answering requests. Each reads from the shared
+    /// [`RdsReader`] and applies writes itself under the writer lock,
+    /// so this also bounds how many writes can wait for that lock.
     pub threads: usize,
     /// Hard cap on `Content-Length`; larger bodies get `413`.
     pub max_body_bytes: usize,
-    /// Depth of the bounded writer command queue: ingest bursts beyond
-    /// this apply backpressure to the submitting connections.
-    pub queue_depth: usize,
     /// Per-connection read timeout: an idle keep-alive connection is
     /// dropped after this long, so shutdown can always drain.
     pub read_timeout_ms: u64,
@@ -124,14 +122,13 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: ephemeral loopback port, 4 workers, 1 MiB body cap,
-    /// a 128-command writer queue and a 5 s read timeout.
+    /// Defaults: ephemeral loopback port, 4 workers, 1 MiB body cap and
+    /// a 5 s read timeout.
     pub fn new(backend: BackendConfig) -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
             max_body_bytes: 1 << 20,
-            queue_depth: 128,
             read_timeout_ms: 5_000,
             backend,
             tenants: None,

@@ -1,20 +1,24 @@
 //! Write-side and lifecycle endpoints: `/advance`, `/checkpoint/*`,
 //! `/healthz`, `/admin/shutdown`.
 
-use super::{parse_body, parse_body_or_default, submit, Outcome};
+use super::{parse_body, parse_body_or_default, shutting_down, write, Outcome};
 use crate::api_types::{
     self, AdvanceRequest, AdvanceResponse, CheckpointRequest, CheckpointResponse, HealthResponse,
     ShutdownRequest, ShutdownResponse,
 };
 use crate::http::{HttpError, Request};
-use crate::{Cmd, Shared};
+use crate::Shared;
+use rds_core::RdsError;
+use rds_stream::Stamp;
+use robust_distinct_sampling::Rds;
+use std::sync::Arc;
 
 pub(crate) fn advance(req: &Request, shared: &Shared) -> Result<Outcome, HttpError> {
     let body: AdvanceRequest = parse_body_or_default(req)?;
-    let ack = submit(shared, |reply| Cmd::Advance {
-        seq: body.seq,
-        time: body.time,
-        reply,
+    let ack = write(shared, |w| {
+        let seq = body.seq.unwrap_or_else(|| w.seen());
+        w.advance(Stamp::new(seq, body.time.unwrap_or(seq)));
+        Ok(())
     })?;
     Ok(Outcome::ok(api_types::to_json(&AdvanceResponse {
         epoch: ack.epoch,
@@ -36,10 +40,7 @@ fn checkpoint_path(req: &Request) -> Result<String, HttpError> {
 
 pub(crate) fn checkpoint_save(req: &Request, shared: &Shared) -> Result<Outcome, HttpError> {
     let path = checkpoint_path(req)?;
-    let ack = submit(shared, |reply| Cmd::Checkpoint {
-        path: path.clone(),
-        reply,
-    })?;
+    let ack = write(shared, |w| w.checkpoint_to(&path))?;
     Ok(Outcome::ok(api_types::to_json(&CheckpointResponse {
         path,
         epoch: ack.epoch,
@@ -49,9 +50,22 @@ pub(crate) fn checkpoint_save(req: &Request, shared: &Shared) -> Result<Outcome,
 
 pub(crate) fn checkpoint_restore(req: &Request, shared: &Shared) -> Result<Outcome, HttpError> {
     let path = checkpoint_path(req)?;
-    let ack = submit(shared, |reply| Cmd::Restore {
-        path: path.clone(),
-        reply,
+    // The restored writer keeps the running one's publish cadence.
+    let ack = write(shared, |w| {
+        let (restored, reader) = Rds::builder()
+            .publish_cadence(w.cadence())
+            .restore_from(&path)?;
+        if restored.dim() != shared.dim {
+            return Err(RdsError::checkpoint(format!(
+                "restore would change the point dimension from {} to {}; \
+                 boot a fresh server for that container",
+                shared.dim,
+                restored.dim()
+            )));
+        }
+        *w = restored;
+        shared.reader.store(Arc::new(reader));
+        Ok(())
     })?;
     Ok(Outcome::ok(api_types::to_json(&CheckpointResponse {
         path,
@@ -90,22 +104,19 @@ pub(crate) fn healthz(shared: &Shared) -> Result<Outcome, HttpError> {
     })))
 }
 
-/// Graceful stop: the writer does a final publish (and optional
-/// checkpoint), replies, and exits; the 200 goes out before the
-/// listener stops accepting.
+/// Graceful stop through the server's one stop sequence (final
+/// publish, optional checkpoint, retire the writer, spill tenants,
+/// stop accepting). The 200 goes out on this connection, which then
+/// closes. A second shutdown answers `503 shutting_down`; a failed
+/// checkpoint answers its error and leaves the server running.
 pub(crate) fn shutdown(req: &Request, shared: &Shared) -> Result<Outcome, HttpError> {
     let body: ShutdownRequest = parse_body_or_default(req)?;
-    let ack = submit(shared, |reply| Cmd::Shutdown {
-        checkpoint_path: body.checkpoint_path,
-        reply,
-    })?;
-    Ok(Outcome {
-        status: 200,
-        body: api_types::to_json(&ShutdownResponse {
-            status: "shutting_down".to_string(),
-            epoch: ack.epoch,
-            seen: ack.seen,
-        }),
-        shutdown: true,
-    })
+    let ack = shared
+        .stop(body.checkpoint_path.as_deref())?
+        .ok_or_else(shutting_down)?;
+    Ok(Outcome::ok(api_types::to_json(&ShutdownResponse {
+        status: "shutting_down".to_string(),
+        epoch: ack.epoch,
+        seen: ack.seen,
+    })))
 }

@@ -1,26 +1,28 @@
-//! `POST /ingest`: validate a batch of points, hand it to the writer
-//! thread, ack with the post-batch `seen`/`epoch`.
+//! `POST /ingest` and `POST /t/{tenant}/ingest`: validate a batch of
+//! points, apply it to the stream's writer, ack with the post-batch
+//! `seen`/`epoch`.
 
-use super::{parse_body, submit, Outcome};
+use super::{parse_body, write, Outcome};
 use crate::api_types::{self, IngestRequest, IngestResponse};
 use crate::http::{HttpError, Request};
-use crate::{Cmd, Shared};
+use crate::{Ack, Shared};
 use rds_geometry::Point;
+use rds_stream::{Stamp, StreamItem};
+use robust_distinct_sampling::PublishCadence;
 
-/// Points per request cap: bounds the writer-queue latency one request
-/// can induce (and the allocation a hostile batch can demand).
+/// Points per request cap: bounds how long one request can hold a
+/// writer lock (and the allocation a hostile batch can demand).
 pub(crate) const MAX_BATCH_POINTS: usize = 65_536;
 
 /// Validates a batch against the caps and the server dimension,
-/// yielding constructed `Point`s. Shared by the global `/ingest` and
-/// the per-tenant `/t/{tenant}/ingest` handlers.
+/// yielding constructed `Point`s.
 ///
 /// Every coordinate is validated *before* constructing `Point`s:
 /// `Point::from_slice` treats empty/non-finite input as a caller bug and
 /// panics, and a panic is exactly what this path must never do. Each
 /// point is copied straight from the decoded request into its own
 /// shared buffer, one allocation per point.
-pub(crate) fn validate_batch(body: &IngestRequest, dim: usize) -> Result<Vec<Point>, HttpError> {
+fn validate_batch(body: &IngestRequest, dim: usize) -> Result<Vec<Point>, HttpError> {
     if body.points.len() > MAX_BATCH_POINTS {
         return Err(HttpError::new(
             400,
@@ -68,19 +70,44 @@ pub(crate) fn validate_batch(body: &IngestRequest, dim: usize) -> Result<Vec<Poi
     Ok(points)
 }
 
-pub(crate) fn ingest(req: &Request, shared: &Shared) -> Result<Outcome, HttpError> {
+/// Parses and validates a batch, hands the points and their optional
+/// times to `apply` — the global writer or a tenant's — and acks.
+pub(crate) fn accept<F>(req: &Request, dim: usize, apply: F) -> Result<Outcome, HttpError>
+where
+    F: FnOnce(Vec<Point>, Option<Vec<u64>>) -> Result<Ack, HttpError>,
+{
     let body: IngestRequest = parse_body(req)?;
-    let points = validate_batch(&body, shared.dim)?;
+    let points = validate_batch(&body, dim)?;
     let ingested = points.len() as u64;
-    let times = body.times;
-    let ack = submit(shared, |reply| Cmd::Ingest {
-        points,
-        times,
-        reply,
-    })?;
+    let ack = apply(points, body.times)?;
     Ok(Outcome::ok(api_types::to_json(&IngestResponse {
         ingested,
         seen: ack.seen,
         epoch: ack.epoch,
     })))
+}
+
+/// `POST /ingest`: the batch goes to the global writer, each point
+/// stamped with its arrival index (and its time, when given).
+pub(crate) fn ingest(req: &Request, shared: &Shared) -> Result<Outcome, HttpError> {
+    accept(req, shared.dim, |points, times| {
+        write(shared, |w| {
+            let before = w.seen();
+            let mut times = times.into_iter().flatten();
+            for p in points {
+                let seq = w.seen();
+                let stamp = match times.next() {
+                    Some(t) => Stamp::new(seq, t),
+                    None => Stamp::at(seq),
+                };
+                w.process_item(StreamItem::new(p, stamp));
+            }
+            // `process_item` honors Manual/EveryN; EveryBatch means
+            // "publish at the end of each ingest request" here.
+            if w.cadence() == PublishCadence::EveryBatch && w.seen() > before {
+                w.publish();
+            }
+            Ok(())
+        })
+    })
 }

@@ -1,46 +1,42 @@
 //! Request dispatch and the per-connection serve loop.
 //!
-//! Handlers are pure functions `(&Request, &Shared) -> Result<Outcome,
-//! HttpError>`: reads answer from the worker's lock-free snapshot
-//! pointer, writes submit a command to the single writer thread and
-//! block on its reply. Nothing on this path may panic — a malformed
-//! request is a 4xx envelope, never a dead worker (lint rule L8
-//! machine-checks this).
+//! Handlers are functions `(&Request, &Shared) -> Result<Outcome,
+//! HttpError>` that run on the worker thread: reads answer from a
+//! lock-free snapshot pointer, global writes apply to the writer under
+//! its lock ([`write`]), tenant writes go to the registry. The global
+//! and `/t/{tenant}/...` endpoints share one implementation each and
+//! differ only in where a snapshot comes from and where a batch goes.
+//! Nothing on this path may panic — a malformed request is a 4xx
+//! envelope, never a dead worker (lint rule L8 machine-checks this).
 
 pub(crate) mod admin;
 pub(crate) mod ingest;
 pub(crate) mod query;
 pub(crate) mod tenant;
 
-use crate::api_types::{self, error_code, error_status};
+use crate::api_types;
 use crate::http::{self, HttpError, ReadOutcome, Request};
 use crate::router::{self, Route};
-use crate::{Cmd, Shared, WriterAck};
+use crate::{Ack, Shared};
 use rds_core::RdsError;
+use robust_distinct_sampling::RdsWriter;
 use serde::Deserialize;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, SyncSender};
 use std::time::Duration;
 
-/// What a handler produced: status + JSON body, plus whether the
-/// server should stop accepting connections once this is written.
+/// What a handler produced: status + JSON body.
 pub(crate) struct Outcome {
     pub(crate) status: u16,
     pub(crate) body: String,
-    pub(crate) shutdown: bool,
 }
 
 impl Outcome {
     /// A 200 with the given JSON body.
     pub(crate) fn ok(body: String) -> Self {
-        Self {
-            status: 200,
-            body,
-            shutdown: false,
-        }
+        Self { status: 200, body }
     }
 
     /// The envelope for an HTTP-level or handler-level rejection.
@@ -48,7 +44,6 @@ impl Outcome {
         Self {
             status: e.status,
             body: api_types::envelope(e.code, &e.message),
-            shutdown: false,
         }
     }
 }
@@ -59,11 +54,12 @@ pub(crate) fn dispatch(req: &Request, shared: &Shared) -> Outcome {
         Ok(r) => r,
         Err(e) => return Outcome::from_http_error(&e),
     };
+    let latest = || Ok(shared.reader.load().snapshot());
     let result = match route {
         Route::Ingest => ingest::ingest(req, shared),
-        Route::Query => query::query(req, shared, 1),
-        Route::QueryK => query::query(req, shared, 10),
-        Route::F0 => query::f0(shared),
+        Route::Query => query::query(req, shared, 1, latest),
+        Route::QueryK => query::query(req, shared, 10, latest),
+        Route::F0 => query::f0(latest),
         Route::Advance => admin::advance(req, shared),
         Route::CheckpointSave => admin::checkpoint_save(req, shared),
         Route::CheckpointRestore => admin::checkpoint_restore(req, shared),
@@ -105,33 +101,31 @@ pub(crate) fn parse_body_or_default<T: Deserialize + Default>(
     }
 }
 
-/// Submits one command to the writer thread and waits for its ack.
-/// A writer that is already gone (post-shutdown race) answers `503`.
-pub(crate) fn submit<F>(shared: &Shared, make: F) -> Result<WriterAck, HttpError>
+/// The answer to a global write once the writer is retired.
+pub(crate) fn shutting_down() -> HttpError {
+    HttpError::new(
+        503,
+        "shutting_down",
+        "the writer has stopped; no further writes are accepted",
+    )
+}
+
+/// Applies one write to the global stream on the calling worker
+/// thread, under the writer lock that serializes global writes. The
+/// writer is taken out of the lock for the call and put back after it,
+/// so a write that panics never puts it back: every later write then
+/// answers `503 shutting_down`, as after a shutdown.
+pub(crate) fn write<F>(shared: &Shared, apply: F) -> Result<Ack, HttpError>
 where
-    F: FnOnce(SyncSender<Result<WriterAck, RdsError>>) -> Cmd,
+    F: FnOnce(&mut RdsWriter) -> Result<(), RdsError>,
 {
-    let (reply, rx) = mpsc::sync_channel(1);
-    if shared.cmd_tx.send(make(reply)).is_err() {
-        return Err(HttpError::new(
-            503,
-            "shutting_down",
-            "the writer has stopped; no further writes are accepted",
-        ));
-    }
-    match rx.recv() {
-        Ok(Ok(ack)) => Ok(ack),
-        Ok(Err(e)) => Err(HttpError::new(
-            error_status(&e),
-            error_code(&e),
-            e.to_string(),
-        )),
-        Err(_) => Err(HttpError::new(
-            503,
-            "shutting_down",
-            "the writer exited before replying",
-        )),
-    }
+    let mut slot = shared.writer.lock();
+    let mut writer = slot.take().ok_or_else(shutting_down)?;
+    let result = apply(&mut writer);
+    let ack = Ack::of(&writer);
+    *slot = Some(writer);
+    result?;
+    Ok(ack)
 }
 
 /// Serves one connection until it closes: keep-alive loop, per-request
@@ -160,29 +154,16 @@ pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
                     Err(_) => Outcome {
                         status: 500,
                         body: api_types::envelope("internal_error", "handler panicked"),
-                        shutdown: false,
                     },
                 };
                 // close after any error response: a rejected request may
                 // have left unread body bytes on the wire, and parsing
-                // those as the next request would desynchronize framing
-                let keep = req.keep_alive
-                    && out.status < 400
-                    && !out.shutdown
-                    && !shared.stopping.load(Ordering::SeqCst);
+                // those as the next request would desynchronize framing;
+                // and close once the server is stopping, so it drains
+                let keep =
+                    req.keep_alive && out.status < 400 && !shared.stopping.load(Ordering::SeqCst);
                 let write_ok =
                     http::write_response(&mut writer, out.status, &out.body, keep).is_ok();
-                if out.shutdown {
-                    // Best-effort tenant durability on a client-initiated
-                    // shutdown, mirroring ServerHandle::shutdown: park
-                    // every resident sampler on disk so a restart on the
-                    // same spill directory resumes them. A spill failure
-                    // must not block the stop.
-                    if let Some(reg) = &shared.tenants {
-                        let _ = reg.spill_all();
-                    }
-                    shared.begin_stop();
-                }
                 if !keep || !write_ok {
                     break;
                 }

@@ -1,22 +1,17 @@
 //! Per-tenant endpoints: `/t/{tenant}/ingest|query|query_k|f0`.
 //!
-//! Unlike the global write path (funneled through the single writer
-//! thread), tenant operations run directly on the worker thread that
-//! received the request: the registry serializes writes per tenant with
-//! its slot lock, and queries against resident tenants answer from a
-//! lock-free snapshot pointer — so a million tenants do not share one
-//! write queue. Budget pressure, eviction and restore are entirely the
-//! registry's business; a request that touches a spilled tenant simply
-//! takes the restore latency once.
+//! Parameters, validation and response bodies are the global
+//! endpoints'; only the stream differs. Writes go to the registry,
+//! which serializes them per tenant with its slot lock, on the worker
+//! thread that received the request — the global stream uses the same
+//! scheme with its writer lock — and queries against resident tenants
+//! answer from a lock-free snapshot pointer. Budget pressure, eviction
+//! and restore are entirely the registry's business; a request that
+//! touches a spilled tenant simply takes the restore latency once.
 
-use super::{parse_body, Outcome};
-use crate::api_types::{
-    self, error_code, error_status, F0Response, IngestRequest, QueryResponse, RecordDto,
-};
-use crate::handlers::{ingest::validate_batch, query::params};
+use super::{ingest, query, Outcome};
 use crate::http::{HttpError, Request};
-use crate::Shared;
-use rds_core::RdsError;
+use crate::{Ack, Shared};
 use rds_tenant::TenantRegistry;
 use std::sync::Arc;
 
@@ -31,32 +26,17 @@ fn registry(shared: &Shared) -> Result<&Arc<TenantRegistry>, HttpError> {
     })
 }
 
-/// Maps a registry error onto the wire envelope (`invalid_tenant` is a
-/// 400, checkpoint/restore failures are 409, exactly like the global
-/// endpoints).
-fn backend(e: RdsError) -> HttpError {
-    HttpError::new(error_status(&e), error_code(&e), e.to_string())
-}
-
 pub(crate) fn ingest(req: &Request, shared: &Shared, tenant: &str) -> Result<Outcome, HttpError> {
     let reg = registry(shared)?;
-    let body: IngestRequest = parse_body(req)?;
-    let points = validate_batch(&body, shared.dim)?;
-    let ack = reg
-        .ingest(tenant, &points, body.times.as_deref())
-        .map_err(backend)?;
-    Ok(Outcome::ok(api_types::to_json(
-        &api_types::IngestResponse {
-            ingested: points.len() as u64,
-            seen: ack.seen,
+    ingest::accept(req, shared.dim, |points, times| {
+        let ack = reg.ingest(tenant, &points, times.as_deref())?;
+        Ok(Ack {
             epoch: ack.epoch,
-        },
-    )))
+            seen: ack.seen,
+        })
+    })
 }
 
-/// `/t/{tenant}/query` (`default_k` 1) and `/t/{tenant}/query_k`
-/// (`default_k` 10) — same parameters and response shape as the global
-/// endpoints, answered from the tenant's snapshot.
 pub(crate) fn query(
     req: &Request,
     shared: &Shared,
@@ -64,39 +44,10 @@ pub(crate) fn query(
     default_k: u64,
 ) -> Result<Outcome, HttpError> {
     let reg = registry(shared)?;
-    let p = params(req)?;
-    let k = p.k.unwrap_or(default_k);
-    if k > super::query::MAX_K {
-        return Err(HttpError::new(
-            400,
-            "invalid_param",
-            format!("k={k} exceeds the cap of {}", super::query::MAX_K),
-        ));
-    }
-    let snap = reg.snapshot(tenant).map_err(backend)?;
-    let draw = match p.seed {
-        Some(s) => s,
-        None => shared.next_draw(),
-    };
-    let records: Vec<RecordDto> = snap
-        .query_k_at(k as usize, draw)
-        .iter()
-        .map(RecordDto::from_record)
-        .collect();
-    Ok(Outcome::ok(api_types::to_json(&QueryResponse {
-        epoch: snap.epoch(),
-        seen: snap.seen(),
-        k,
-        records,
-    })))
+    query::query(req, shared, default_k, || Ok(reg.snapshot(tenant)?))
 }
 
 pub(crate) fn f0(shared: &Shared, tenant: &str) -> Result<Outcome, HttpError> {
     let reg = registry(shared)?;
-    let snap = reg.snapshot(tenant).map_err(backend)?;
-    Ok(Outcome::ok(api_types::to_json(&F0Response {
-        epoch: snap.epoch(),
-        seen: snap.seen(),
-        f0: snap.f0_estimate(),
-    })))
+    query::f0(|| Ok(reg.snapshot(tenant)?))
 }

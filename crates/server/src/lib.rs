@@ -6,16 +6,17 @@
 //!
 //! ## Threading model
 //!
-//! Exactly the facade's contract, extended over the wire:
+//! Exactly the facade's contract, extended over the wire, on two kinds
+//! of thread:
 //!
-//! * **one writer thread** owns the [`RdsWriter`] and drains a bounded
-//!   command queue of ingest/advance/checkpoint/shutdown commands in
-//!   FIFO order — writes are strictly serialized;
 //! * **an accept thread** pushes connections into a bounded queue;
 //! * **`threads` worker threads** each serve connections with
-//!   keep-alive, answering reads from the current [`RdsReader`]'s
-//!   lock-free snapshot pointer — queries never block ingest, end to
-//!   end.
+//!   keep-alive. A write to the global stream runs on the worker that
+//!   received it, under the writer lock around the one [`RdsWriter`],
+//!   so writes are strictly serialized — the same scheme tenant writes
+//!   use with their per-tenant slot locks. Reads answer from the
+//!   current [`RdsReader`]'s lock-free snapshot pointer and never take
+//!   the writer lock, so queries never block ingest, end to end.
 //!
 //! `/checkpoint/restore` swaps in a whole new `(writer, reader)` pair;
 //! workers pick up the new reader on their next request via an
@@ -39,14 +40,11 @@ pub mod router;
 
 pub use config::{BackendConfig, ServerConfig, TenancyConfig};
 
-use parking_lot::AtomicArc;
+use parking_lot::{AtomicArc, Mutex};
 use rds_core::RdsError;
-use rds_geometry::Point;
-use rds_stream::{Stamp, StreamItem};
-use robust_distinct_sampling::{PublishCadence, Rds, RdsReader, RdsWriter};
+use robust_distinct_sampling::{RdsReader, RdsWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::{fmt, io};
@@ -54,7 +52,8 @@ use std::{fmt, io};
 /// Errors surfaced while standing a server up.
 #[derive(Debug)]
 pub enum ServerError {
-    /// The backend configuration was rejected by [`Rds::builder()`].
+    /// The backend configuration was rejected by
+    /// [`Rds::builder()`](robust_distinct_sampling::Rds::builder).
     Config(RdsError),
     /// Socket or thread setup failed.
     Io(io::Error),
@@ -78,47 +77,29 @@ impl std::error::Error for ServerError {
     }
 }
 
-/// The writer thread's reply to a completed command.
-pub(crate) struct WriterAck {
+/// A completed write: the stream's epoch and item count after it.
+pub(crate) struct Ack {
     pub(crate) epoch: u64,
     pub(crate) seen: u64,
 }
 
-type Reply = SyncSender<Result<WriterAck, RdsError>>;
-
-/// Commands the single writer thread drains in FIFO order.
-pub(crate) enum Cmd {
-    /// Pre-validated points (dimension and finiteness already checked
-    /// by the handler, so `Point` construction cannot panic here).
-    Ingest {
-        points: Vec<Point>,
-        times: Option<Vec<u64>>,
-        reply: Reply,
-    },
-    Advance {
-        seq: Option<u64>,
-        time: Option<u64>,
-        reply: Reply,
-    },
-    Checkpoint {
-        path: String,
-        reply: Reply,
-    },
-    Restore {
-        path: String,
-        reply: Reply,
-    },
-    Shutdown {
-        checkpoint_path: Option<String>,
-        reply: Reply,
-    },
+impl Ack {
+    pub(crate) fn of(w: &RdsWriter) -> Self {
+        Self {
+            epoch: w.epoch(),
+            seen: w.seen(),
+        }
+    }
 }
 
-/// State every worker and the writer loop share.
+/// State every worker shares.
 pub(crate) struct Shared {
     /// Swapped wholesale on `/checkpoint/restore`.
     pub(crate) reader: AtomicArc<RdsReader>,
-    pub(crate) cmd_tx: SyncSender<Cmd>,
+    /// The global stream's writer, behind the lock that serializes its
+    /// writes. `None` once retired: by a shutdown, or by a write that
+    /// panicked (see `handlers::write`).
+    pub(crate) writer: Mutex<Option<RdsWriter>>,
     pub(crate) dim: usize,
     pub(crate) max_body_bytes: usize,
     pub(crate) read_timeout_ms: u64,
@@ -127,9 +108,8 @@ pub(crate) struct Shared {
     pub(crate) stopping: AtomicBool,
     addr: SocketAddr,
     /// The multi-tenant registry, when tenancy is enabled. Tenant
-    /// requests run on worker threads against it directly — per-tenant
-    /// serialization is the registry's slot lock, not the global writer
-    /// queue.
+    /// requests run against it directly — per-tenant serialization is
+    /// the registry's slot lock, not the global writer lock.
     pub(crate) tenants: Option<Arc<rds_tenant::TenantRegistry>>,
 }
 
@@ -138,102 +118,43 @@ impl Shared {
         self.draws.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Stops the accept loop: sets the flag, then opens (and drops) a
-    /// connection to our own listener so the blocking `accept` wakes
-    /// up and observes it.
-    pub(crate) fn begin_stop(&self) {
+    /// The one stop sequence, shared by [`ServerHandle::shutdown`] and
+    /// `POST /admin/shutdown`: final publish, optional checkpoint,
+    /// retire the writer, spill tenants, stop accepting. Returns the
+    /// writer's final position, or `None` when it was already retired.
+    ///
+    /// # Errors
+    ///
+    /// A failed checkpoint puts the writer back and stops nothing, so
+    /// the caller can retry with another path.
+    pub(crate) fn stop(&self, checkpoint_path: Option<&str>) -> Result<Option<Ack>, RdsError> {
+        let mut slot = self.writer.lock();
+        let last = match slot.take() {
+            None => None,
+            Some(mut w) => {
+                w.publish();
+                if let Some(path) = checkpoint_path {
+                    if let Err(e) = w.checkpoint_to(path) {
+                        *slot = Some(w);
+                        return Err(e);
+                    }
+                }
+                Some(Ack::of(&w))
+            }
+        };
+        drop(slot);
+        // Best-effort durability for tenants: park every resident
+        // sampler on disk so a restart on the same spill directory
+        // resumes them. A spill failure must not block the stop.
+        if let Some(reg) = &self.tenants {
+            let _ = reg.spill_all();
+        }
+        // Wake the blocking `accept` with a connection to our own
+        // listener so it observes the flag.
         if !self.stopping.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect(self.addr);
         }
-    }
-}
-
-fn ack(w: &RdsWriter) -> WriterAck {
-    WriterAck {
-        epoch: w.epoch(),
-        seen: w.seen(),
-    }
-}
-
-/// The single writer thread: owns the [`RdsWriter`], applies commands
-/// in arrival order, exits on `Shutdown` (after a final publish) or
-/// when every handle to the command queue is gone.
-fn writer_loop(mut writer: RdsWriter, rx: Receiver<Cmd>, shared: Arc<Shared>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Ingest {
-                points,
-                times,
-                reply,
-            } => {
-                let before = writer.seen();
-                match times {
-                    None => {
-                        for p in points {
-                            let seq = writer.seen();
-                            writer.process_item(StreamItem::new(p, Stamp::at(seq)));
-                        }
-                    }
-                    Some(times) => {
-                        for (p, t) in points.into_iter().zip(times) {
-                            let seq = writer.seen();
-                            writer.process_item(StreamItem::new(p, Stamp::new(seq, t)));
-                        }
-                    }
-                }
-                // `process_item` honors Manual/EveryN; EveryBatch means
-                // "publish at the end of each ingest request" here.
-                if writer.cadence() == PublishCadence::EveryBatch && writer.seen() > before {
-                    writer.publish();
-                }
-                let _ = reply.send(Ok(ack(&writer)));
-            }
-            Cmd::Advance { seq, time, reply } => {
-                let seq = seq.unwrap_or_else(|| writer.seen());
-                let time = time.unwrap_or(seq);
-                writer.advance(Stamp::new(seq, time));
-                let _ = reply.send(Ok(ack(&writer)));
-            }
-            Cmd::Checkpoint { path, reply } => {
-                let result = writer.checkpoint_to(&path).map(|()| ack(&writer));
-                let _ = reply.send(result);
-            }
-            Cmd::Restore { path, reply } => {
-                let cadence = writer.cadence();
-                match Rds::builder().restore_from(&path) {
-                    Ok((mut w, r)) => {
-                        if w.dim() != shared.dim {
-                            let _ = reply.send(Err(RdsError::checkpoint(format!(
-                                "restore would change the point dimension from {} to {}; \
-                                 boot a fresh server for that container",
-                                shared.dim,
-                                w.dim()
-                            ))));
-                        } else {
-                            w.set_cadence(cadence);
-                            writer = w;
-                            shared.reader.store(Arc::new(r));
-                            let _ = reply.send(Ok(ack(&writer)));
-                        }
-                    }
-                    Err(e) => {
-                        let _ = reply.send(Err(e));
-                    }
-                }
-            }
-            Cmd::Shutdown {
-                checkpoint_path,
-                reply,
-            } => {
-                writer.publish();
-                let result = match checkpoint_path {
-                    Some(path) => writer.checkpoint_to(&path).map(|()| ack(&writer)),
-                    None => Ok(ack(&writer)),
-                };
-                let _ = reply.send(result);
-                break;
-            }
-        }
+        Ok(last)
     }
 }
 
@@ -243,7 +164,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -252,29 +172,12 @@ impl ServerHandle {
         self.addr
     }
 
-    /// In-process graceful stop: final publish on the writer, stop
-    /// accepting. Equivalent to `POST /admin/shutdown` (idempotent —
-    /// safe to call after a client already shut the server down).
+    /// In-process graceful stop: final publish, retire the writer,
+    /// spill tenants, stop accepting. Equivalent to `POST
+    /// /admin/shutdown` (idempotent — safe to call after a client
+    /// already shut the server down).
     pub fn shutdown(&self) {
-        let (reply, rx) = mpsc::sync_channel(1);
-        if self
-            .shared
-            .cmd_tx
-            .send(Cmd::Shutdown {
-                checkpoint_path: None,
-                reply,
-            })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
-        // Best-effort durability for tenants: park every resident
-        // sampler on disk so a restart resumes them. A spill failure
-        // must not block shutdown.
-        if let Some(reg) = &self.shared.tenants {
-            let _ = reg.spill_all();
-        }
-        self.shared.begin_stop();
+        let _ = self.shared.stop(None);
     }
 
     /// Waits for every server thread to exit. Blocks until a shutdown
@@ -287,9 +190,6 @@ impl ServerHandle {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
     }
 
     /// [`Self::shutdown`] then [`Self::join`].
@@ -299,8 +199,8 @@ impl ServerHandle {
     }
 }
 
-/// Builds the backend, binds the listener, and spawns the writer,
-/// accept, and worker threads. Returns as soon as the socket is live —
+/// Builds the backend, binds the listener, and spawns the accept and
+/// worker threads. Returns as soon as the socket is live —
 /// `GET /healthz` answers from that moment.
 ///
 /// # Errors
@@ -332,10 +232,9 @@ pub fn bind(cfg: ServerConfig) -> Result<ServerHandle, ServerError> {
     let listener = TcpListener::bind(cfg.addr.as_str()).map_err(ServerError::Io)?;
     let addr = listener.local_addr().map_err(ServerError::Io)?;
 
-    let (cmd_tx, cmd_rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
     let shared = Arc::new(Shared {
         reader: AtomicArc::new(Arc::new(reader)),
-        cmd_tx,
+        writer: Mutex::new(Some(writer)),
         dim,
         max_body_bytes: cfg.max_body_bytes,
         read_timeout_ms: cfg.read_timeout_ms,
@@ -345,15 +244,9 @@ pub fn bind(cfg: ServerConfig) -> Result<ServerHandle, ServerError> {
         tenants,
     });
 
-    let writer_shared = Arc::clone(&shared);
-    let writer_thread = std::thread::Builder::new()
-        .name("rds-writer".to_string())
-        .spawn(move || writer_loop(writer, cmd_rx, writer_shared))
-        .map_err(ServerError::Io)?;
-
     let n_workers = cfg.threads.max(1);
     let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(n_workers * 2);
-    let conn_rx = Arc::new(parking_lot::Mutex::new(conn_rx));
+    let conn_rx = Arc::new(Mutex::new(conn_rx));
     let mut workers = Vec::with_capacity(n_workers);
     for i in 0..n_workers {
         let rx = Arc::clone(&conn_rx);
@@ -395,6 +288,5 @@ pub fn bind(cfg: ServerConfig) -> Result<ServerHandle, ServerError> {
         shared,
         accept: Some(accept),
         workers,
-        writer: Some(writer_thread),
     })
 }

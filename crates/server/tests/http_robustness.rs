@@ -369,3 +369,33 @@ fn shutdown_over_http_drains_cleanly() {
     // every thread exits; a hang here is the regression
     handle.join();
 }
+
+#[test]
+fn a_write_on_a_connection_opened_before_shutdown_is_refused() {
+    let (handle, addr) = start();
+    let mut conn = client::Conn::connect(addr).expect("connect");
+    // a first request pins the keep-alive connection to a worker
+    let (status, _) = conn.request("GET", "/healthz", None).expect("healthz");
+    assert_eq!(status, 200);
+    let (status, body) =
+        client::request_once(addr, "POST", "/admin/shutdown", None).expect("shutdown");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = conn
+        .request("POST", "/ingest", Some("{\"points\": [[1.0, 2.0]]}"))
+        .expect("ingest after shutdown");
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(code_of(&body), "shutting_down");
+    drop(conn);
+    handle.join();
+}
+
+#[test]
+fn handle_shutdown_after_an_http_shutdown_returns_and_joins() {
+    let (handle, addr) = start();
+    let (status, body) =
+        client::request_once(addr, "POST", "/admin/shutdown", None).expect("shutdown");
+    assert_eq!(status, 200, "{body}");
+    // the second stop finds the writer retired and must not hang
+    handle.shutdown();
+    handle.join();
+}

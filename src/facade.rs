@@ -527,6 +527,45 @@ pub enum PublishCadence {
 /// The default automatic publication interval (items).
 pub const DEFAULT_PUBLISH_EVERY: u64 = 4096;
 
+/// Assembles a writer/reader pair around `backend`: freezes it into the
+/// pair's first snapshot and gives the reader a fresh draw counter. The
+/// clock `(fed, last_stamp, epoch)` is zero for a new stream and the
+/// checkpointed position for a restore.
+fn split(
+    mut backend: Box<dyn Backend>,
+    window: Window,
+    shards: usize,
+    eps: Option<f64>,
+    (fed, last_stamp, epoch): (u64, Stamp, u64),
+    cadence: PublishCadence,
+) -> (RdsWriter, RdsReader) {
+    let summary = backend.freeze();
+    let cell = Arc::new(SnapshotCell::new(Snapshot {
+        epoch,
+        seen: fed,
+        window,
+        summary,
+    }));
+    let reader = RdsReader {
+        cell: Arc::clone(&cell),
+        draws: Arc::new(AtomicU64::new(0)),
+    };
+    let writer = RdsWriter {
+        backend,
+        window,
+        shards,
+        eps,
+        fed,
+        last_stamp,
+        epoch,
+        since_publish: 0,
+        advanced_since_publish: false,
+        cadence,
+        cell,
+    };
+    (writer, reader)
+}
+
 /// The ingestion half of a split handle pair: owns the backend, feeds it,
 /// and publishes immutable [`Snapshot`]s for the [`RdsReader`]s.
 ///
@@ -984,33 +1023,17 @@ impl RdsBuilder {
             }
             None => cfg.threshold(),
         };
-        let mut backend = Self::build_backend(cfg, window, shards, threshold)?;
+        let backend = Self::build_backend(cfg, window, shards, threshold)?;
         // The epoch-0 snapshot: empty but well-formed, so readers work
         // (and report `seen() == 0`) before the first publication.
-        let empty = backend.freeze();
-        let writer = RdsWriter {
+        Ok(split(
             backend,
             window,
             shards,
-            eps: self.eps,
-            fed: 0,
-            last_stamp: Stamp::at(0),
-            epoch: 0,
-            since_publish: 0,
-            advanced_since_publish: false,
-            cadence: self.resolved_cadence(),
-            cell: Arc::new(SnapshotCell::new(Snapshot {
-                epoch: 0,
-                seen: 0,
-                window,
-                summary: empty,
-            })),
-        };
-        let reader = RdsReader {
-            cell: Arc::clone(&writer.cell),
-            draws: Arc::new(AtomicU64::new(0)),
-        };
-        Ok((writer, reader))
+            self.eps,
+            (0, Stamp::at(0), 0),
+            self.resolved_cadence(),
+        ))
     }
 
     /// The cadence in force after defaulting.
@@ -1083,7 +1106,7 @@ impl RdsBuilder {
 
         // A one-shard writer stores the bare sampler state; it resumes as
         // a one-shard engine at the writer's clock.
-        let mut backend = match chk.backend {
+        let backend = match chk.backend {
             BackendState::Single(st) => restore_engine::<RobustL0Sampler>(
                 EngineCheckpoint::single(chk.cfg.clone(), st, chk.fed, chk.last_stamp),
                 &chk.cfg,
@@ -1110,31 +1133,15 @@ impl RdsBuilder {
         // as `chk.epoch + 1`, never as a reused epoch with different
         // content. A clean checkpoint keeps its epoch — the full state IS
         // the last published content.
-        let summary = backend.freeze();
         let epoch = if chk.dirty { chk.epoch + 1 } else { chk.epoch };
-        let writer = RdsWriter {
+        Ok(split(
             backend,
-            window: chk.window,
-            shards: chk.shards,
-            eps: chk.eps,
-            fed: chk.fed,
-            last_stamp: chk.last_stamp,
-            epoch,
-            since_publish: 0,
-            advanced_since_publish: false,
-            cadence: self.resolved_cadence(),
-            cell: Arc::new(SnapshotCell::new(Snapshot {
-                epoch,
-                seen: chk.fed,
-                window: chk.window,
-                summary,
-            })),
-        };
-        let reader = RdsReader {
-            cell: Arc::clone(&writer.cell),
-            draws: Arc::new(AtomicU64::new(0)),
-        };
-        Ok((writer, reader))
+            chk.window,
+            chk.shards,
+            chk.eps,
+            (chk.fed, chk.last_stamp, epoch),
+            self.resolved_cadence(),
+        ))
     }
 
     /// Reads, verifies and restores a checkpoint container written by

@@ -2,10 +2,11 @@
 //! **bit-identical** to the in-process facade on the same seeded
 //! stream, snapshots must be epoch-monotone under concurrent readers
 //! during sustained ingest, and a checkpoint saved over HTTP must
-//! restore into a fresh server that answers identically.
+//! restore into a fresh server that answers identically. Concurrent
+//! writers on separate connections must be serialized batch by batch.
 
 use rds_geometry::Point;
-use rds_server::api_types::{F0Response, QueryResponse};
+use rds_server::api_types::{F0Response, IngestResponse, QueryResponse};
 use rds_server::client::{self, Conn};
 use rds_server::{bind, BackendConfig, ServerConfig};
 use robust_distinct_sampling::Rds;
@@ -44,7 +45,7 @@ fn start(backend: BackendConfig) -> rds_server::ServerHandle {
     bind(cfg).expect("bind server")
 }
 
-fn ingest_batch(conn: &mut Conn, batch: &[Vec<f64>]) {
+fn ingest_batch(conn: &mut Conn, batch: &[Vec<f64>]) -> IngestResponse {
     let rows: Vec<String> = batch
         .iter()
         .map(|p| {
@@ -62,6 +63,7 @@ fn ingest_batch(conn: &mut Conn, batch: &[Vec<f64>]) {
         .request("POST", "/ingest", Some(&body))
         .expect("ingest");
     assert_eq!(status, 200, "{resp}");
+    serde_json::from_str(&resp).expect("ingest response parses")
 }
 
 fn ingest_all(conn: &mut Conn) {
@@ -201,6 +203,53 @@ fn concurrent_readers_see_only_epoch_monotone_snapshots() {
             r.join().expect("reader thread");
         }
     });
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn concurrent_global_writes_stay_serialized() {
+    const WRITERS: usize = 4;
+    const B: usize = 20;
+    let points = stream();
+    let per_writer = points.len() / WRITERS;
+    let mut b = backend();
+    b.publish_every = Some(B as u64);
+    b.eps = Some(0.1);
+    let handle = start(b);
+    let addr = handle.addr();
+
+    // each writer sends its own quarter of the stream, B points a batch,
+    // all four starting together once connected
+    let start_line = std::sync::Barrier::new(WRITERS);
+    let mut acked: Vec<u64> = std::thread::scope(|scope| {
+        let writers: Vec<_> = points
+            .chunks(per_writer)
+            .map(|share| {
+                let start_line = &start_line;
+                scope.spawn(move || {
+                    let mut conn = Conn::connect(addr).expect("writer connect");
+                    start_line.wait();
+                    share
+                        .chunks(B)
+                        .map(|batch| ingest_batch(&mut conn, batch).seen)
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer thread"))
+            .collect()
+    });
+
+    // every batch was applied whole: the acks are exactly B, 2B, ...
+    acked.sort_unstable();
+    let expected: Vec<u64> = (1..=points.len() / B).map(|i| (i * B) as u64).collect();
+    assert_eq!(acked, expected, "interleaved or lost batches");
+    // 25 groups sit far below the count_accuracy threshold: exact count
+    let f0 = served_f0(addr);
+    assert_eq!(f0.seen, N_POINTS);
+    assert_eq!(f0.f0, N_ENTITIES as f64);
     handle.shutdown_and_join();
 }
 
