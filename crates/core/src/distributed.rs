@@ -16,8 +16,10 @@
 //! [`SamplerSummary`] type of [`RobustL0Sampler`](crate::RobustL0Sampler): a site ships
 //! [`DistinctSampler::summary`](crate::DistinctSampler::summary) (or
 //! `into_summary` once it is done ingesting), and the coordinator combines
-//! any number of them with [`SamplerSummary::merge_many`] — the same
-//! reduce the sharded engine runs over its shards. The summary is
+//! any number of them with [`SamplerSummary::merge_many`]. A caller that
+//! merges the same sources again and again (the sharded engine, on every
+//! publish) keeps a [`MergePlan`] instead: it absorbs only the records
+//! new since its previous merge and returns the same summary. The summary is
 //! queryable, serializable and *self-mergeable*: it carries the full
 //! [`SamplerConfig`], so summaries combine without out-of-band context,
 //! mismatched configurations fail with [`RdsError::ConfigMismatch`], and
@@ -31,7 +33,7 @@ use crate::config::{SamplerConfig, SamplerContext};
 use crate::error::RdsError;
 use crate::infinite::GroupRecord;
 use crate::merge_index::NearIndex;
-use crate::sampler::{derived_rng, SamplerSummary};
+use crate::sampler::{derived_rng, MergeCounts, SamplerSummary};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rds_geometry::Point;
@@ -148,6 +150,8 @@ impl MergedSummary {
 }
 
 impl SamplerSummary for MergedSummary {
+    type Merger = MergePlan;
+
     /// Combines two summaries: unifies at the coarser rate, refilters
     /// every record with the shared hash (Fact 1b) and deduplicates
     /// cross-summary groups.
@@ -157,40 +161,22 @@ impl SamplerSummary for MergedSummary {
         Ok(Self::merge_many(vec![self, other])?.expect("two summaries merged"))
     }
 
-    /// Single-pass N-way merge: one shared context and one deduplication
-    /// pass over all records, each record's cross-summary duplicate found
-    /// through a near-duplicate index over the merged representatives
-    /// instead of a `within` scan over every merged group per record:
-    /// `O(records)` while few groups share a `2α`-wide bucket of the first
-    /// two coordinates. This is the reduce the sharded engine runs on
-    /// every publish.
+    /// Single-pass N-way merge, the one merge of a fresh [`MergePlan`]:
+    /// each record's cross-summary duplicate is found through a
+    /// near-duplicate index over the merged representatives instead of a
+    /// `within` scan over every merged group per record, so the merge
+    /// costs `O(records)` while few groups share a `2α`-wide bucket of
+    /// the first two coordinates.
     fn merge_many(summaries: Vec<Self>) -> Result<Option<Self>, RdsError> {
-        let Some(first_cfg) = summaries.first().map(|s| s.cfg.clone()) else {
-            return Ok(None);
-        };
-        // Full-config equality, not just the seed: same-seed summaries
-        // with different alpha/dim must not silently merge.
-        if let Some(bad) = summaries.iter().find(|s| s.cfg != first_cfg) {
-            return Err(RdsError::ConfigMismatch {
-                expected_seed: first_cfg.seed,
-                actual_seed: bad.cfg.seed,
-            });
-        }
-        if summaries.len() == 1 {
-            return Ok(summaries.into_iter().next());
-        }
-        let level = summaries.iter().map(|s| s.level).max().unwrap_or(0);
-        let records = summaries.iter().map(|s| s.acc.len() + s.rej.len()).sum();
-        let mut sets = MergeSets::new(first_cfg, level, records);
-        for summary in &summaries {
-            for rec in summary.acc.iter() {
-                sets.absorb(rec, rds_hashing::level_sampled(rec.cell_hash, level));
-            }
-            for rec in summary.rej.iter() {
-                sets.absorb(rec, false);
-            }
-        }
-        Ok(Some(sets.finish()))
+        MergePlan::default().merge(summaries)
+    }
+
+    fn merge_with(plan: &mut MergePlan, summaries: Vec<Self>) -> Result<Option<Self>, RdsError> {
+        plan.merge(summaries)
+    }
+
+    fn merge_counts(plan: &MergePlan) -> MergeCounts {
+        plan.counts()
     }
 
     fn f0_estimate(&self) -> f64 {
@@ -249,97 +235,544 @@ fn partial_shuffle(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
     picks
 }
 
-/// Id-space tag of a reject-set record in [`MergeSets::index`]: reject
-/// ids order after every accept id, as the old scan searched the accept
-/// set before the reject set.
-const REJ_ID: u32 = 1 << 31;
-
-/// The merged accept/reject sets under construction, with a
-/// near-duplicate index over their representatives.
-struct MergeSets {
-    cfg: SamplerConfig,
-    ctx: SamplerContext,
-    level: u32,
-    acc: Vec<GroupRecord>,
-    /// The reject set in insertion order; a record promoted to the
-    /// accept set leaves `None` behind, dropped by [`MergeSets::finish`].
-    rej: Vec<Option<GroupRecord>>,
-    /// Accept record `i` under id `i`, reject record `i` under
-    /// `REJ_ID | i`, so the smallest matching id is the record a scan of
-    /// the accept set, then the reject set, meets first.
-    index: NearIndex,
+/// A merge that persists between calls, so that merging the same sources
+/// again absorbs only the records new since the previous merge.
+///
+/// The merge of `N` summaries visits their records in one order — the
+/// summaries in turn, each one's accept set before its reject set — and
+/// places each record: emitted in the accept set, emitted in the reject
+/// set, folded into the count of an earlier group within `alpha`
+/// (promoting a reject record to the accept set when the folding
+/// record's own cell is sampled), or dropped. Only the representatives
+/// and cell hashes decide where a record goes, never the counts or
+/// reservoirs. So a plan keeps each record's placement and a
+/// near-duplicate index over every absorbed representative, and writes
+/// the output by one walk over the current summaries, adding the folded
+/// counts.
+///
+/// A summary of Algorithm 1 only appends to its sets while its level
+/// stays put. When every summary is such an extension of what the plan
+/// absorbed — same configuration, same number of summaries, same level
+/// each, no set shorter, and the last absorbed representative of each
+/// set still the same shared point — [`MergePlan::merge`] places only
+/// the new records, in merge order. A new record can land before absorbed
+/// ones (a new record of the first summary comes before every record of
+/// the second), so it also re-places the later records it now takes
+/// over, as the merge from empty would. Whatever the plan cannot re-place
+/// exactly (a level change, a shrunk set, or a record that held folds and
+/// loses its group to a new one) restarts it from empty.
+///
+/// Either way the result is exactly [`SamplerSummary::merge_many`]'s:
+/// the same records, order, counts and serialized bytes. Debug builds
+/// check every incremental merge against one from empty.
+///
+/// The plan holds about 60 bytes per absorbed record (placement,
+/// position, index entry); it is not part of any sampler's
+/// [`DistinctSampler::words`](crate::DistinctSampler::words).
+#[derive(Debug, Default)]
+pub struct MergePlan {
+    absorbed: Option<Absorbed>,
+    counts: MergeCounts,
 }
 
-impl MergeSets {
-    /// Empty sets for merging `records` records at rate exponent `level`.
-    fn new(cfg: SamplerConfig, level: u32, records: usize) -> Self {
+impl MergePlan {
+    /// Merges `summaries` exactly as [`SamplerSummary::merge_many`] does,
+    /// reusing this plan's placements when the summaries only grew since
+    /// its previous merge. `Ok(None)` iff `summaries` is empty; a single
+    /// summary comes back as it is and leaves the plan untouched.
+    ///
+    /// A plan serves one list of sources: pass the summaries of the same
+    /// samplers, in the same order, on every call. It tells that a set
+    /// only grew by its length and its last absorbed representative
+    /// alone, so a summary of another sampler that happens to hold the
+    /// same shared point at that index would be merged with stale
+    /// placements (debug builds catch that divergence). Use a fresh plan,
+    /// or [`SamplerSummary::merge_many`], for unrelated summaries.
+    ///
+    /// # Errors
+    ///
+    /// [`RdsError::ConfigMismatch`] when the summaries do not share one
+    /// configuration.
+    pub fn merge(
+        &mut self,
+        summaries: Vec<MergedSummary>,
+    ) -> Result<Option<MergedSummary>, RdsError> {
+        let Some(first_cfg) = summaries.first().map(|s| &s.cfg) else {
+            return Ok(None);
+        };
+        // Full-config equality, not just the seed: same-seed summaries
+        // with different alpha/dim must not silently merge.
+        if let Some(bad) = summaries.iter().find(|s| s.cfg != *first_cfg) {
+            return Err(RdsError::ConfigMismatch {
+                expected_seed: first_cfg.seed,
+                actual_seed: bad.cfg.seed,
+            });
+        }
+        if summaries.len() == 1 {
+            return Ok(summaries.into_iter().next());
+        }
+        let mut kept = self.absorbed.take().filter(|a| a.grew_into(&summaries));
+        let incremental = kept
+            .as_mut()
+            .is_some_and(|a| a.absorb_new(&summaries).is_ok());
+        let absorbed = match kept {
+            Some(a) if incremental => {
+                self.counts.incremental += 1;
+                a
+            }
+            _ => {
+                self.counts.restarts += 1;
+                let mut a = Absorbed::new(first_cfg.clone(), &summaries);
+                // From empty every record comes after every absorbed
+                // one, so nothing is re-placed and nothing restarts.
+                let placed = a.absorb_new(&summaries);
+                debug_assert!(placed.is_ok(), "a merge from empty restarted");
+                a
+            }
+        };
+        let merged = absorbed.emit(&summaries);
+        self.absorbed = Some(absorbed);
+        debug_assert!(
+            !incremental || same_as_from_empty(&merged, summaries),
+            "an incremental merge diverged from the merge from empty"
+        );
+        Ok(Some(merged))
+    }
+
+    /// How this plan produced its merges so far.
+    pub fn counts(&self) -> MergeCounts {
+        self.counts
+    }
+}
+
+/// Whether `merged` serializes exactly as a merge from empty of
+/// `summaries` (the debug check of every incremental merge).
+fn same_as_from_empty(merged: &MergedSummary, summaries: Vec<MergedSummary>) -> bool {
+    use serde::Serialize;
+    matches!(
+        MergedSummary::merge_many(summaries),
+        Ok(Some(fresh)) if fresh.to_value() == merged.to_value()
+    )
+}
+
+/// A record's position in merge order: its summary, then the accept set
+/// before the reject set, then its index in the set (below `2^32`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Pos(u64);
+
+impl Pos {
+    const REJ: u64 = 1 << 32;
+
+    fn new(shard: usize, rej: bool, index: usize) -> Self {
+        let set = if rej { Self::REJ } else { 0 };
+        Self(((shard as u64) << 33) | set | index as u64)
+    }
+
+    fn shard(self) -> usize {
+        (self.0 >> 33) as usize
+    }
+
+    fn rej(self) -> bool {
+        self.0 & Self::REJ != 0
+    }
+
+    fn index(self) -> usize {
+        (self.0 & (Self::REJ - 1)) as usize
+    }
+}
+
+/// The record at `pos` of `summaries`.
+fn record(summaries: &[MergedSummary], pos: Pos) -> &GroupRecord {
+    let summary = &summaries[pos.shard()];
+    let set = if pos.rej() {
+        &summary.rej
+    } else {
+        &summary.acc
+    };
+    &set[pos.index()]
+}
+
+/// Where the merge put one record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Place {
+    /// Emitted in the accept set: its own cell is sampled and no earlier
+    /// group holds it.
+    Acc,
+    /// Emitted in the accept set after promoting the reject host at the
+    /// position, whose count it carries.
+    Promoter(Pos),
+    /// Emitted in the reject set: a candidate whose own cell is not
+    /// sampled and which no earlier group holds.
+    Rej,
+    /// A reject host promoted by the record at the position: it hosts
+    /// until that record, and its count goes there.
+    PromotedBy(Pos),
+    /// Folded into the earlier host at the position: its count goes
+    /// there.
+    Fold(Pos),
+    /// Not a candidate at the common rate.
+    Drop,
+}
+
+/// The plan's view of one input summary.
+#[derive(Debug)]
+struct ShardPlan {
+    level: u32,
+    acc: SetPlan,
+    rej: SetPlan,
+}
+
+impl ShardPlan {
+    fn set(&self, rej: bool) -> &SetPlan {
+        if rej {
+            &self.rej
+        } else {
+            &self.acc
+        }
+    }
+
+    fn set_mut(&mut self, rej: bool) -> &mut SetPlan {
+        if rej {
+            &mut self.rej
+        } else {
+            &mut self.acc
+        }
+    }
+
+    /// Whether `summary` only appended to the sets this plan absorbed.
+    fn grew_into(&self, summary: &MergedSummary) -> bool {
+        self.level == summary.level
+            && self.acc.grew_into(&summary.acc)
+            && self.rej.grew_into(&summary.rej)
+    }
+}
+
+/// The plan's view of one candidate set of one input summary.
+#[derive(Debug)]
+struct SetPlan {
+    /// Where each absorbed record went, in set order.
+    places: Vec<Place>,
+    /// The representative of the last absorbed record.
+    last: Option<Point>,
+}
+
+impl SetPlan {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            places: Vec::with_capacity(n),
+            last: None,
+        }
+    }
+
+    /// Whether `set` still holds every absorbed record: its last one,
+    /// sharing its coordinates, at the same index. Within a level a
+    /// summary of Algorithm 1 only appends, so that holds exactly while
+    /// nothing was removed or reordered.
+    fn grew_into(&self, set: &[GroupRecord]) -> bool {
+        match (self.places.len().checked_sub(1), &self.last) {
+            (None, _) => true,
+            (Some(i), Some(last)) => set
+                .get(i)
+                .is_some_and(|r| r.rep.coords().as_ptr() == last.coords().as_ptr()),
+            (Some(_), None) => false,
+        }
+    }
+}
+
+/// Marks a new record the plan cannot place exactly from its current
+/// state.
+struct Restart;
+
+/// The placements of every record a plan absorbed.
+#[derive(Debug)]
+struct Absorbed {
+    cfg: SamplerConfig,
+    ctx: SamplerContext,
+    /// The common rate exponent: the largest input level.
+    level: u32,
+    shards: Vec<ShardPlan>,
+    /// The absorbed representatives under their ids: every host, and
+    /// every record absorbed by an earlier merge.
+    index: NearIndex,
+    /// The position of the record under each id.
+    ids: Vec<Pos>,
+    /// The records this merge folded or dropped. A placement only reads
+    /// earlier hosts, and a merge only re-places records that earlier
+    /// merges absorbed, so these join the index when the next merge
+    /// begins; a merge from empty that is never continued skips them.
+    pending: Vec<Pos>,
+    /// The largest absorbed position.
+    last: Option<Pos>,
+}
+
+impl Absorbed {
+    /// Nothing absorbed yet, for merging `summaries` under `cfg`.
+    fn new(cfg: SamplerConfig, summaries: &[MergedSummary]) -> Self {
+        let records = summaries.iter().map(|s| s.acc.len() + s.rej.len()).sum();
+        let shards = summaries
+            .iter()
+            .map(|s| ShardPlan {
+                level: s.level,
+                acc: SetPlan::with_capacity(s.acc.len()),
+                rej: SetPlan::with_capacity(s.rej.len()),
+            })
+            .collect();
         Self {
             ctx: SamplerContext::new(cfg.clone()),
+            level: summaries.iter().map(|s| s.level).max().unwrap_or(0),
+            shards,
             index: NearIndex::with_capacity(cfg.dim, cfg.alpha, records),
+            ids: Vec::with_capacity(records),
+            pending: Vec::new(),
+            last: None,
             cfg,
-            level,
-            acc: Vec::new(),
-            rej: Vec::new(),
         }
     }
 
-    /// Places one record into the merged sets, combining it with an
-    /// existing record of the same group if the group was observed by
-    /// several sites/shards.
-    fn absorb(&mut self, rec: &GroupRecord, own_cell_sampled: bool) {
-        let (acc, rej, alpha) = (&self.acc, &self.rej, self.cfg.alpha);
-        let mut hit = None;
-        self.index.first_match(&rec.rep, &mut hit, |id| {
-            let existing = if id & REJ_ID == 0 {
-                acc.get(id as usize)
-            } else {
-                rej.get((id & !REJ_ID) as usize).and_then(Option::as_ref)
+    /// Whether every summary only appended to what this plan absorbed
+    /// from it.
+    fn grew_into(&self, summaries: &[MergedSummary]) -> bool {
+        self.shards.len() == summaries.len()
+            && summaries.iter().all(|s| s.cfg == self.cfg)
+            && self
+                .shards
+                .iter()
+                .zip(summaries)
+                .all(|(plan, s)| plan.grew_into(s))
+    }
+
+    fn place(&self, pos: Pos) -> Place {
+        self.shards[pos.shard()].set(pos.rej()).places[pos.index()]
+    }
+
+    fn set_place(&mut self, pos: Pos, place: Place) {
+        self.shards[pos.shard()].set_mut(pos.rej()).places[pos.index()] = place;
+    }
+
+    /// Places every record of `summaries` not absorbed yet, in merge
+    /// order.
+    fn absorb_new(&mut self, summaries: &[MergedSummary]) -> Result<(), Restart> {
+        let records: usize = summaries.iter().map(|s| s.acc.len() + s.rej.len()).sum();
+        if !self.index.has_room(records.saturating_sub(self.ids.len())) {
+            // Re-index the absorbed records with room for growth.
+            let mut index =
+                NearIndex::with_capacity(self.cfg.dim, self.cfg.alpha, records + records / 2);
+            for (id, &pos) in self.ids.iter().enumerate() {
+                index.insert(&record(summaries, pos).rep, id as u32);
+            }
+            self.index = index;
+        }
+        for pos in std::mem::take(&mut self.pending) {
+            self.index_record(summaries, pos);
+        }
+        for (shard, summary) in summaries.iter().enumerate() {
+            for (rej, set) in [(false, &summary.acc), (true, &summary.rej)] {
+                let from = self.shards[shard].set(rej).places.len();
+                for index in from..set.len() {
+                    self.absorb(summaries, Pos::new(shard, rej, index))?;
+                }
+                self.shards[shard].set_mut(rej).last = set.last().map(|r| r.rep.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// Places the record at `p`, the next one of its set, as the merge
+    /// from empty of the absorbed records and this one would.
+    fn absorb(&mut self, summaries: &[MergedSummary], p: Pos) -> Result<(), Restart> {
+        let rec = record(summaries, p);
+        let place = self.decide(summaries, rec, p);
+        // Only a record placed before absorbed ones can take something
+        // over from them; from empty, and for the last summary's new
+        // records, it never does.
+        let before_absorbed = self.last.is_some_and(|last| last > p);
+        if let Place::Promoter(host) = place {
+            // The host stops hosting at `p`: a later record that relied
+            // on it would have to be re-placed.
+            let relied_on = matches!(self.place(host), Place::PromotedBy(_))
+                || before_absorbed && self.folded_after(summaries, host, p);
+            if relied_on {
+                return Err(Restart);
+            }
+            self.set_place(host, Place::PromotedBy(p));
+        }
+        let places = &mut self.shards[p.shard()].set_mut(p.rej()).places;
+        debug_assert_eq!(places.len(), p.index(), "records absorbed out of order");
+        places.push(place);
+        self.last = self.last.max(Some(p));
+        if matches!(place, Place::Fold(_) | Place::Drop) {
+            self.pending.push(p);
+            return Ok(());
+        }
+        self.index_record(summaries, p);
+        if before_absorbed {
+            self.replace_later(summaries, p, &rec.rep)?;
+        }
+        Ok(())
+    }
+
+    /// Indexes the representative of the absorbed record at `pos`.
+    fn index_record(&mut self, summaries: &[MergedSummary], pos: Pos) {
+        self.index
+            .insert(&record(summaries, pos).rep, self.ids.len() as u32);
+        self.ids.push(pos);
+    }
+
+    /// Where the merge from empty puts `rec`, at position `q`, given the
+    /// records absorbed before it: folded into the earliest accept host
+    /// within `alpha`, else into (or, if its own cell is sampled,
+    /// promoting) the earliest live reject host, else a new group.
+    fn decide(&self, summaries: &[MergedSummary], rec: &GroupRecord, q: Pos) -> Place {
+        let alpha = self.cfg.alpha;
+        let (mut acc, mut rej): (Option<Pos>, Option<Pos>) = (None, None);
+        self.index.for_each_near(&rec.rep, |id| {
+            let pos = self.ids[id as usize];
+            if pos >= q {
+                return;
+            }
+            let best = match self.place(pos) {
+                Place::Acc | Place::Promoter(_) => &mut acc,
+                Place::Rej if acc.is_none() => &mut rej,
+                Place::PromotedBy(by) if by >= q && acc.is_none() => &mut rej,
+                _ => return,
             };
-            existing.is_some_and(|g| g.rep.within(&rec.rep, alpha))
+            if best.is_none_or(|b| pos < b) && record(summaries, pos).rep.within(&rec.rep, alpha) {
+                *best = Some(pos);
+            }
         });
-        match hit {
-            // cross-site duplicate? combine counts into the existing record
-            Some(id) if id & REJ_ID == 0 => {
-                if let Some(existing) = self.acc.get_mut(id as usize) {
-                    existing.count += rec.count;
-                }
-            }
-            Some(id) => {
-                let slot = self.rej.get_mut((id & !REJ_ID) as usize);
-                if own_cell_sampled {
-                    // the group is sampled through this site's
-                    // representative: promote the combined record to the
-                    // accept set
-                    if let Some(existing) = slot.and_then(Option::take) {
-                        let mut combined = rec.clone();
-                        combined.count += existing.count;
-                        self.push_acc(combined);
-                    }
-                } else if let Some(Some(existing)) = slot {
-                    existing.count += rec.count;
-                }
-            }
-            // fresh group at the coordinator
-            None if own_cell_sampled => self.push_acc(rec.clone()),
-            None => {
-                if self.ctx.any_adjacent_sampled(&rec.rep, self.level) {
-                    self.index.insert(&rec.rep, REJ_ID | self.rej.len() as u32);
-                    self.rej.push(Some(rec.clone()));
-                }
-                // else: not a candidate at the common rate; dropped
-            }
+        let sampled = !q.rej() && rds_hashing::level_sampled(rec.cell_hash, self.level);
+        match (acc, rej) {
+            (Some(host), _) => Place::Fold(host),
+            (None, Some(host)) if sampled => Place::Promoter(host),
+            (None, Some(host)) => Place::Fold(host),
+            (None, None) if sampled => Place::Acc,
+            (None, None) if self.ctx.any_adjacent_sampled(&rec.rep, self.level) => Place::Rej,
+            (None, None) => Place::Drop,
         }
     }
 
-    fn push_acc(&mut self, rec: GroupRecord) {
-        self.index.insert(&rec.rep, self.acc.len() as u32);
-        self.acc.push(rec);
+    /// Re-places, in merge order, the absorbed records after `p` that lie
+    /// within `alpha` of the new host `rep` at `p`: only they can see it.
+    fn replace_later(
+        &mut self,
+        summaries: &[MergedSummary],
+        p: Pos,
+        rep: &Point,
+    ) -> Result<(), Restart> {
+        let alpha = self.cfg.alpha;
+        let mut later = Vec::new();
+        self.index.for_each_near(rep, |id| {
+            let pos = self.ids[id as usize];
+            if pos > p && record(summaries, pos).rep.within(rep, alpha) {
+                later.push(pos);
+            }
+        });
+        later.sort_unstable();
+        later.dedup();
+        for y in later {
+            let old = self.place(y);
+            let new = self.decide(summaries, record(summaries, y), y);
+            let was = match old {
+                Place::PromotedBy(_) => Place::Rej,
+                other => other,
+            };
+            if new == was {
+                continue;
+            }
+            match (old, new) {
+                (Place::Fold(_) | Place::Drop, Place::Fold(_)) => {}
+                (Place::Acc | Place::Rej, Place::Fold(_))
+                    if !self.folded_after(summaries, y, y) => {}
+                (Place::Acc, Place::Promoter(host)) if host == p => {
+                    // `y` promotes the new reject host, which hosts
+                    // nothing after `y`.
+                    self.set_place(p, Place::PromotedBy(y));
+                    self.set_place(y, new);
+                    return Ok(());
+                }
+                // A host that other records rely on changes: re-placing
+                // them could cascade.
+                _ => return Err(Restart),
+            }
+            self.set_place(y, new);
+        }
+        Ok(())
     }
 
-    /// The merged summary, promoted reject records compacted away.
-    fn finish(self) -> MergedSummary {
-        let rej = self.rej.into_iter().flatten().collect();
-        MergedSummary::from_parts(self.cfg, self.level, self.acc, rej)
+    /// Whether a record after `after` is folded into `host`. A folded
+    /// record lies within `alpha` of its host, so the index finds it
+    /// among the host's neighbours.
+    fn folded_after(&self, summaries: &[MergedSummary], host: Pos, after: Pos) -> bool {
+        let mut found = false;
+        self.index
+            .for_each_near(&record(summaries, host).rep, |id| {
+                let pos = self.ids[id as usize];
+                found |= pos > after && self.place(pos) == Place::Fold(host);
+            });
+        found
+    }
+
+    /// The merged summary: every emitted record of `summaries` in merge
+    /// order, with the counts folded into it, in one walk. A folded
+    /// record comes after its host, so it adds its count to the host's
+    /// output record; a promoted reject host comes before its promoter
+    /// and gathers the counts folded into it until then.
+    fn emit(&self, summaries: &[MergedSummary]) -> MergedSummary {
+        // Where each set starts in merge order, and how many records
+        // each output set receives.
+        let mut starts = Vec::with_capacity(2 * self.shards.len());
+        let (mut records, mut n_acc, mut n_rej) = (0, 0, 0);
+        for plan in &self.shards {
+            for set in [&plan.acc, &plan.rej] {
+                starts.push(records);
+                records += set.places.len();
+                for place in &set.places {
+                    match place {
+                        Place::Acc | Place::Promoter(_) => n_acc += 1,
+                        Place::Rej => n_rej += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        let flat = |pos: Pos| starts[2 * pos.shard() + usize::from(pos.rej())] + pos.index();
+        // Per record in merge order: an emitted host's index in its
+        // output set, or the counts folded so far into a promoted host.
+        let mut scratch = vec![0u64; records];
+        let (mut acc, mut rej) = (Vec::with_capacity(n_acc), Vec::with_capacity(n_rej));
+        let mut at = 0;
+        for (plan, summary) in self.shards.iter().zip(summaries) {
+            for (set, records) in [(&plan.acc, &summary.acc), (&plan.rej, &summary.rej)] {
+                for (&place, rec) in set.places.iter().zip(records.iter()) {
+                    match place {
+                        Place::Acc | Place::Promoter(_) | Place::Rej => {
+                            let mut out = rec.clone();
+                            if let Place::Promoter(host) = place {
+                                out.count += record(summaries, host).count + scratch[flat(host)];
+                            }
+                            let set = if place == Place::Rej {
+                                &mut rej
+                            } else {
+                                &mut acc
+                            };
+                            scratch[at] = set.len() as u64;
+                            set.push(out);
+                        }
+                        Place::Fold(host) => {
+                            let gathered = &mut scratch[flat(host)];
+                            match self.place(host) {
+                                Place::PromotedBy(_) => *gathered += rec.count,
+                                Place::Rej => rej[*gathered as usize].count += rec.count,
+                                _ => acc[*gathered as usize].count += rec.count,
+                            }
+                        }
+                        Place::PromotedBy(_) | Place::Drop => {}
+                    }
+                    at += 1;
+                }
+            }
+        }
+        MergedSummary::from_parts(self.cfg.clone(), self.level, acc, rej)
     }
 }
 

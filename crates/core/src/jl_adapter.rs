@@ -240,6 +240,8 @@ impl JlSummary {
 }
 
 impl SamplerSummary for JlSummary {
+    type Merger = ();
+
     fn merge(self, other: Self) -> Result<Self, RdsError> {
         let mut originals = self.originals;
         originals.extend(other.originals);

@@ -24,7 +24,7 @@ mod sw_hier;
 
 pub use checkpoint::{Checkpointable, RngState};
 pub use config::{SamplerConfig, SamplerConfigBuilder, SamplerContext, MAX_LEVEL};
-pub use distributed::MergedSummary;
+pub use distributed::{MergePlan, MergedSummary};
 pub use error::RdsError;
 pub use f0::{RobustF0Estimator, SlidingWindowF0, DEFAULT_KAPPA_B, FM_PHI};
 pub use heavy::{HeavyGroup, RobustHeavyHitters};
@@ -37,7 +37,7 @@ pub use lsh::{
     LshPartitioner, MetricGroup, MetricRobustSampler, MetricSamplerState, MetricSummary,
     SimHashPartitioner,
 };
-pub use sampler::{DistinctSampler, SamplerSummary, WindowSummary};
+pub use sampler::{DistinctSampler, MergeCounts, SamplerSummary, WindowSummary};
 pub use store::CandidateStore;
 pub use sw_fixed::{
     FixedRateLevelState, FixedRateWindowSampler, FixedRateWindowState, WindowGroupEntry,

@@ -643,6 +643,8 @@ fn metric_record(g: &MetricGroup) -> GroupRecord {
 }
 
 impl<P: LshPartitioner + Clone + PartialEq> SamplerSummary for MetricSummary<P> {
+    type Merger = ();
+
     fn merge(self, other: Self) -> Result<Self, RdsError> {
         // lint:allow(L1) merge_many of a two-element vec always returns
         // Some; config-mismatch errors propagate through the `?`

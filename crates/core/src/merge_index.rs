@@ -151,7 +151,13 @@ impl NearIndex {
     /// Whether one more tabled insertion would exceed the capacity the
     /// index was built for.
     pub(crate) fn is_full(&self) -> bool {
-        (self.ids.len() + 1) * 2 > self.table.len()
+        !self.has_room(1)
+    }
+
+    /// Whether `n` more tabled insertions fit the capacity the index was
+    /// built for.
+    pub(crate) fn has_room(&self, n: usize) -> bool {
+        (self.ids.len() + n) * 2 <= self.table.len()
     }
 
     /// The quotients `x / 2α` of `p`'s first one or two coordinates (the
@@ -213,28 +219,34 @@ impl NearIndex {
         true
     }
 
+    /// Calls `visit` with the candidates of
+    /// [`NearIndex::for_each_candidate`], or with every inserted id when
+    /// `p` cannot be bucketed: a superset of the ids within `alpha` of
+    /// `p`, so the caller must run the exact test.
+    pub(crate) fn for_each_near(&self, p: &Point, mut visit: impl FnMut(u32)) {
+        if !self.for_each_candidate(p, &mut visit) {
+            self.ids
+                .iter()
+                .chain(&self.overflow)
+                .for_each(|&id| visit(id));
+        }
+    }
+
     /// Lowers `best` to the smallest candidate id that `matches` accepts.
-    /// The candidates are those of [`NearIndex::for_each_candidate`], or
-    /// every inserted id when `p` cannot be bucketed, so `matches` must be
-    /// the exact test. Ids not below `best` are skipped without calling
-    /// it.
+    /// The candidates are those of [`NearIndex::for_each_near`], so
+    /// `matches` must be the exact test. Ids not below `best` are skipped
+    /// without calling it.
     pub(crate) fn first_match(
         &self,
         p: &Point,
         best: &mut Option<u32>,
         mut matches: impl FnMut(u32) -> bool,
     ) {
-        let mut consider = |id: u32| {
+        self.for_each_near(p, |id| {
             if best.is_none_or(|b| id < b) && matches(id) {
                 *best = Some(id);
             }
-        };
-        if !self.for_each_candidate(p, &mut consider) {
-            self.ids
-                .iter()
-                .chain(&self.overflow)
-                .for_each(|&id| consider(id));
-        }
+        });
     }
 }
 

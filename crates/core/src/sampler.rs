@@ -43,6 +43,13 @@ use std::sync::Arc;
 /// `draw + 1`, ...; concurrent readers can share one frozen summary behind
 /// an `Arc` and draw independently without locks.
 pub trait SamplerSummary: Sized {
+    /// What a caller keeps between merges of the same sources so that
+    /// the next merge ([`Self::merge_with`]) can absorb only what changed
+    /// since the previous one: a [`MergePlan`](crate::MergePlan) for
+    /// Algorithm 1's [`MergedSummary`](crate::MergedSummary), `()` for
+    /// families whose merge keeps no state.
+    type Merger: Default + Send;
+
     /// Combines two summaries into a summary of the union of their
     /// streams.
     ///
@@ -56,8 +63,8 @@ pub trait SamplerSummary: Sized {
     /// empty. The default folds [`Self::merge`] pairwise; implementations
     /// whose pairwise merge re-processes the accumulated state (every
     /// summary in this crate) override this with a single-pass N-way
-    /// merge — the reduce the sharded engine runs on every publish, so
-    /// it must not scale quadratically in the shard count.
+    /// merge, so it does not scale quadratically in the number of
+    /// summaries.
     ///
     /// # Errors
     ///
@@ -69,6 +76,29 @@ pub trait SamplerSummary: Sized {
                 None => Ok(Some(s)),
                 Some(a) => a.merge(s).map(Some),
             })
+    }
+
+    /// [`Self::merge_many`] through `merger`, kept by the caller across
+    /// merges of the same sources in the same order (the sharded engine
+    /// keeps one per engine and merges its shards on every publish). The
+    /// result is always exactly that of [`Self::merge_many`]; a stateful
+    /// merger only makes it cheaper when the summaries grew by appends
+    /// since the previous call. The default ignores `merger`.
+    ///
+    /// # Errors
+    ///
+    /// [`RdsError::ConfigMismatch`] as for [`Self::merge`].
+    fn merge_with(
+        _merger: &mut Self::Merger,
+        summaries: Vec<Self>,
+    ) -> Result<Option<Self>, RdsError> {
+        Self::merge_many(summaries)
+    }
+
+    /// How `merger` produced its merges so far: all zero for a stateless
+    /// merger.
+    fn merge_counts(_merger: &Self::Merger) -> MergeCounts {
+        MergeCounts::default()
     }
 
     /// The estimate of the number of distinct groups covered by this
@@ -83,6 +113,20 @@ pub trait SamplerSummary: Sized {
     /// Draws up to `k` *distinct* sampled groups, deterministically in
     /// `draw`.
     fn query_k(&self, k: usize, draw: u64) -> Vec<GroupRecord>;
+}
+
+/// How a stateful merger ([`SamplerSummary::merge_with`]) produced its
+/// merges: every merge of two or more summaries counts once, as one or
+/// the other. Diagnostic only.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MergeCounts {
+    /// Merges that absorbed only the records new since the previous one.
+    pub incremental: u64,
+    /// Merges that placed every record from empty: the first one, and
+    /// every one whose summaries were not an append-only extension of
+    /// the previous merge's (or that the merger could not place exactly
+    /// from there).
+    pub restarts: u64,
 }
 
 /// The unified streaming interface of all six sampler families.
@@ -335,6 +379,8 @@ pub(crate) fn window_entry_record(e: &WindowGroupEntry) -> GroupRecord {
 }
 
 impl SamplerSummary for WindowSummary {
+    type Merger = ();
+
     fn merge(self, other: Self) -> Result<Self, RdsError> {
         // lint:allow(L1) merge_many of a two-element vec always returns
         // Some; config-mismatch errors propagate through the `?`
@@ -347,10 +393,10 @@ impl SamplerSummary for WindowSummary {
     /// `alpha`) or appended. Matches come from two near-duplicate indexes,
     /// over the merged entries' `rep`s and over their `last`s, so the merge
     /// costs `O(entries)` while few groups share a `2α`-wide bucket of the
-    /// first two coordinates. It runs on every
-    /// publish of a sharded window writer (the engine's reduce). The
-    /// result is a fresh single-chunk summary, identical to folding the
-    /// summaries pairwise left to right.
+    /// first two coordinates. It runs on every publish of a sharded
+    /// window writer (the engine keeps no merge state for this family).
+    /// The result is a fresh single-chunk summary, identical to folding
+    /// the summaries pairwise left to right.
     fn merge_many(summaries: Vec<Self>) -> Result<Option<Self>, RdsError> {
         let Some(first_cfg) = summaries.first().map(|s| s.cfg.clone()) else {
             return Ok(None);

@@ -91,12 +91,14 @@ where
     /// snapshot of a restore. The flush makes the snapshot cover every
     /// ingested item, and window shards are advanced to the engine clock
     /// so quiet streams still expire. Copy-on-write: the engine reuses
-    /// clean shards' summaries and every sampler's
+    /// clean shards' summaries, every sampler's
     /// [`DistinctSampler::summary_cow`] `Arc`-shares the candidate sets
-    /// untouched since the previous snapshot — publication cost is
-    /// proportional to what changed, not to state size (and no
-    /// full-summary clone or lock acquisition happens here; rds-lint rule
-    /// L6 enforces that invariant).
+    /// untouched since the previous snapshot, and a sharded infinite-window
+    /// engine's merge places only the records its shards appended since
+    /// the previous one. What still costs `O(state)` per publish is
+    /// rebuilding a changed shard's summary and writing the merged
+    /// summary's records (no full-summary clone or lock acquisition
+    /// happens here; rds-lint rule L6 enforces that invariant).
     fn freeze(&mut self) -> SnapshotSummary {
         self.flush();
         self.snapshot().into()
@@ -699,7 +701,8 @@ impl RdsWriter {
     ///
     /// This is the only point where the writer does read-side work, and
     /// it is copy-on-write: sharded engines flush their batch buffers
-    /// and re-merge only when a shard actually changed; every sampler
+    /// and re-merge only when a shard actually changed (placing only
+    /// the records the shards appended, for the infinite window); every sampler
     /// `Arc`-shares each candidate set untouched since the previous
     /// publish. A publish with nothing new is `O(1)`; one after
     /// `k` changed levels copies those levels only — never the whole

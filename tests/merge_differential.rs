@@ -369,6 +369,30 @@ fn crafted_merged_summaries_match_the_linear_merge() {
     }
 }
 
+/// Many sites at once, each with accept and reject sets at mixed
+/// levels: a merge from empty over hundreds of reject hosts, with
+/// promotions all through it.
+#[test]
+fn many_sites_with_reject_sets_match_the_linear_merge() {
+    let mut branches = Vec::new();
+    for case in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(5000 + case);
+        let dim = DIMS[case as usize % DIMS.len()];
+        let cfg = config(dim, 0.5, case);
+        let n = rng.random_range(24..=48usize);
+        let summaries = crafted_merged(&mut rng, &cfg, n);
+        branches.extend(assert_merged_identical(
+            summaries,
+            &format!("many sites case {case} dim {dim}"),
+        ));
+    }
+    let promoted = branches
+        .iter()
+        .filter(|&&b| b == Absorbed::Promoted)
+        .count();
+    assert!(promoted > 200, "only {promoted} promotions");
+}
+
 #[test]
 fn sampled_merged_summaries_match_the_linear_merge() {
     for case in 0..60u64 {
