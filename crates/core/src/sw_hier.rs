@@ -13,7 +13,7 @@
 //! all maintained groups end up sampled at a common rate, and a uniform
 //! choice among the survivors is returned (Theorem 2.7).
 //!
-//! ## Pseudocode deviations (documented in DESIGN.md)
+//! ## Pseudocode deviations (the rationale for each is below)
 //!
 //! The paper's Algorithm 3 pseudocode conflicts in places with its own
 //! analysis (Facts 3/4, Lemma 2.10); we implement the analysis-consistent

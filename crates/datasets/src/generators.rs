@@ -10,8 +10,9 @@
 //! The two UCI files are not redistributable inside this offline
 //! repository, so [`yacht_like`] and [`seeds_like`] generate synthetic
 //! stand-ins with the same cardinality, dimension and cluster structure
-//! (see DESIGN.md, "Substitutions"). All generators end with the paper's
-//! preprocessing step: rescale so the minimum pairwise distance is 1.
+//! (each generator's doc says how it mirrors its dataset). All generators
+//! end with the paper's preprocessing step: rescale so the minimum
+//! pairwise distance is 1.
 
 use rand::{Rng, RngExt};
 use rds_geometry::Point;

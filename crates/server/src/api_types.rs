@@ -188,8 +188,11 @@ pub struct TenantHealthResponse {
     pub resident_words: u64,
     /// The global tenant space budget in machine words.
     pub budget_words: u64,
-    /// Lifetime eviction spills.
+    /// Lifetime evictions that wrote a spill container.
     pub spills: u64,
+    /// Lifetime evictions that wrote nothing: the tenant was unchanged
+    /// since its restore or creation.
+    pub unchanged_evictions: u64,
     /// Lifetime restores from spill containers.
     pub restores: u64,
 }

@@ -92,6 +92,7 @@ pub(crate) fn healthz(shared: &Shared) -> Result<Outcome, HttpError> {
                 resident_words: stats.resident_words,
                 budget_words: stats.budget_words,
                 spills: stats.spills,
+                unchanged_evictions: stats.unchanged_evictions,
                 restores: stats.restores,
             },
         )));

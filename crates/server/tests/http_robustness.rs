@@ -230,6 +230,33 @@ fn a_malformed_request_does_not_kill_the_worker_for_the_next_client() {
     handle.shutdown_and_join();
 }
 
+#[test]
+fn a_deeply_nested_body_is_a_400_not_a_stack_overflow() {
+    let mut backend = BackendConfig::new(2, 0.5);
+    backend.seed = 42;
+    let mut cfg = ServerConfig::new(backend);
+    cfg.threads = 2;
+    cfg.read_timeout_ms = 2_000;
+    let limit = cfg.max_body_bytes;
+    let handle = bind(cfg).expect("bind on an ephemeral port");
+    let addr = handle.addr();
+    // A body at the default cap, all `[`: without a nesting limit the
+    // parser recurses once per byte and overflows the worker's stack.
+    let body = "[".repeat(limit);
+    for path in ["/ingest", "/query_k"] {
+        let (status, answer) =
+            client::request_once(addr, "POST", path, Some(&body)).expect("answered");
+        assert_eq!(status, 400, "{path}: {answer}");
+        assert_eq!(code_of(&answer), "bad_json", "{path}");
+        assert!(answer.contains("nest deeper"), "{path}: {answer}");
+    }
+    let (status, _) =
+        client::request_once(addr, "POST", "/ingest", Some("{\"points\": [[1.0, 2.0]]}"))
+            .expect("still serving");
+    assert_eq!(status, 200);
+    handle.shutdown_and_join();
+}
+
 fn start_with_tenants(tag: &str) -> (rds_server::ServerHandle, SocketAddr) {
     let mut backend = BackendConfig::new(2, 0.5);
     backend.seed = 42;
@@ -271,6 +298,7 @@ fn healthz_reports_the_registry_gauge_with_tenancy() {
         "\"resident_words\":0",
         "\"budget_words\":16777216",
         "\"spills\":0",
+        "\"unchanged_evictions\":0",
         "\"restores\":0",
     ] {
         assert!(body.contains(field), "missing {field} in {body}");

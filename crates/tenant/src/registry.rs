@@ -149,9 +149,17 @@ enum Slot {
     Resident {
         writer: Box<RdsWriter>,
         words: usize,
+        /// Whether the writer still holds exactly the state it was
+        /// admitted with: true after a restore from its container or a
+        /// fresh build from the template, false after any `ingest` or
+        /// `advance`. Admitting the tenant again rebuilds such a writer
+        /// bit-identically (the same container, or the same
+        /// `tenant_seed`), so evicting it writes nothing.
+        unchanged: bool,
     },
-    /// On disk; the footprint it had when spilled stays in the entry's
-    /// `last_words` as the admission estimate for its next restore.
+    /// Evicted; its state is in its container, or, if it never had
+    /// one, in the template. The footprint it had stays in the entry's
+    /// `last_words` as the admission estimate for its next admission.
     Spilled,
 }
 
@@ -195,6 +203,10 @@ pub struct RegistryStats {
     pub budget_words: u64,
     /// Lifetime count of evictions that wrote a spill container.
     pub spills: u64,
+    /// Lifetime count of evictions that wrote nothing, because the
+    /// tenant was unchanged since its restore or creation: its
+    /// container (or, never spilled, its template) already rebuilds it.
+    pub unchanged_evictions: u64,
     /// Lifetime count of restores from spill containers.
     pub restores: u64,
     /// Lifetime count of fresh tenant sampler builds.
@@ -204,10 +216,12 @@ pub struct RegistryStats {
 /// A registry of keyed sampler streams sharing one space budget.
 ///
 /// Every operation takes the tenant id; tenants are created on first
-/// touch, evicted to disk (checkpoint containers, atomic writes) when
-/// the budget runs out, and transparently restored — bit-identical,
-/// exact PRNG position — on their next touch. See the module docs for
-/// the locking discipline.
+/// touch, evicted when the budget runs out, and transparently restored
+/// — bit-identical, exact PRNG position — on their next touch.
+/// Eviction is write-back: only a tenant changed since its admission is
+/// written to disk (checkpoint containers, atomic writes); an unchanged
+/// one is dropped, since its container or the template rebuilds it. See
+/// the module docs for the locking discipline.
 pub struct TenantRegistry {
     template: TenantTemplate,
     budget_words: usize,
@@ -217,11 +231,12 @@ pub struct TenantRegistry {
     fresh_words: usize,
     map: Mutex<HashMap<String, Arc<TenantEntry>>>,
     /// The eviction clock: entries enter on admission and leave when
-    /// spilled (or requeue on a second chance).
+    /// evicted (or requeue on a second chance).
     ring: Mutex<VecDeque<Arc<TenantEntry>>>,
     resident_words: AtomicUsize,
     resident_count: AtomicUsize,
     spills: AtomicU64,
+    unchanged_evictions: AtomicU64,
     restores: AtomicU64,
     creates: AtomicU64,
 }
@@ -260,6 +275,7 @@ impl TenantRegistry {
             resident_words: AtomicUsize::new(0),
             resident_count: AtomicUsize::new(0),
             spills: AtomicU64::new(0),
+            unchanged_evictions: AtomicU64::new(0),
             restores: AtomicU64::new(0),
             creates: AtomicU64::new(0),
         })
@@ -289,6 +305,7 @@ impl TenantRegistry {
             resident_words: self.resident_words.load(Ordering::Relaxed) as u64,
             budget_words: self.budget_words as u64,
             spills: self.spills.load(Ordering::Relaxed),
+            unchanged_evictions: self.unchanged_evictions.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
             creates: self.creates.load(Ordering::Relaxed),
         }
@@ -326,11 +343,17 @@ impl TenantRegistry {
         let (ack, admitted) = {
             let mut slot = entry.slot.lock();
             let admitted = self.ensure_resident(&entry, &mut slot)?;
-            let Slot::Resident { writer, words } = &mut *slot else {
+            let Slot::Resident {
+                writer,
+                words,
+                unchanged,
+            } = &mut *slot
+            else {
                 return Err(RdsError::checkpoint(
                     "tenant slot empty after admission (internal invariant)",
                 ));
             };
+            *unchanged = false;
             let before = *words;
             for (i, p) in points.iter().enumerate() {
                 let seq = writer.seen();
@@ -372,11 +395,17 @@ impl TenantRegistry {
         let (ack, admitted) = {
             let mut slot = entry.slot.lock();
             let admitted = self.ensure_resident(&entry, &mut slot)?;
-            let Slot::Resident { writer, words } = &mut *slot else {
+            let Slot::Resident {
+                writer,
+                words,
+                unchanged,
+            } = &mut *slot
+            else {
                 return Err(RdsError::checkpoint(
                     "tenant slot empty after admission (internal invariant)",
                 ));
             };
+            *unchanged = false;
             let before = *words;
             writer.advance(now);
             writer.publish();
@@ -473,14 +502,17 @@ impl TenantRegistry {
         Ok(self.snapshot(id)?.f0_estimate())
     }
 
-    /// Spills every resident tenant to disk (graceful shutdown): after
-    /// this returns `Ok`, the registry's entire state is on disk and a
-    /// new process pointed at the same spill directory resumes every
-    /// tenant bit-identically. Returns how many tenants were written.
+    /// Evicts every resident tenant (graceful shutdown): after this
+    /// returns `Ok`, the registry's entire state is on disk and a new
+    /// process pointed at the same spill directory resumes every tenant
+    /// bit-identically. Tenants changed since their admission get a
+    /// container; unchanged ones are just dropped, since their container
+    /// or the template already holds them. Returns how many tenants were
+    /// evicted.
     ///
     /// # Errors
     ///
-    /// The first spill failure; tenants already spilled stay spilled,
+    /// The first spill failure; tenants already evicted stay evicted,
     /// the failing tenant stays resident.
     pub fn spill_all(&self) -> Result<usize, RdsError> {
         let entries: Vec<Arc<TenantEntry>> = { self.map.lock().values().cloned().collect() };
@@ -496,8 +528,9 @@ impl TenantRegistry {
     }
 
     /// Evicts tenant `id` right now if it is resident (test/ops hook —
-    /// normal eviction is budget-driven). Returns whether a container
-    /// was written.
+    /// normal eviction is budget-driven). Returns whether the tenant was
+    /// resident, and so was evicted; a container is written only if it
+    /// changed since its admission (see [`RegistryStats::spills`]).
     ///
     /// # Errors
     ///
@@ -593,28 +626,43 @@ impl TenantRegistry {
         let words = writer.words();
         entry.reader.store(Arc::new(Some(reader)));
         entry.last_words.store(words, Ordering::Relaxed);
-        *slot = Slot::Resident { writer, words };
+        *slot = Slot::Resident {
+            writer,
+            words,
+            unchanged: true,
+        };
         self.resident_words.fetch_add(words, Ordering::Relaxed);
         self.resident_count.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
-    /// Spills a resident slot to disk: container written atomically
-    /// FIRST, only then is the in-memory sampler dropped and the reader
-    /// pointer cleared — a spill failure leaves the tenant resident and
-    /// fully serviceable. Returns whether a container was written.
+    /// Evicts a resident slot. A tenant changed since its admission is
+    /// written back first: container written atomically, only then is
+    /// the in-memory sampler dropped and the reader pointer cleared — a
+    /// spill failure leaves the tenant resident and fully serviceable.
+    /// An unchanged tenant is dropped without a write. Returns whether
+    /// the slot was resident.
     fn spill_slot(&self, entry: &TenantEntry, slot: &mut Slot) -> Result<bool, RdsError> {
-        let Slot::Resident { writer, words } = slot else {
+        let Slot::Resident {
+            writer,
+            words,
+            unchanged,
+        } = slot
+        else {
             return Ok(false);
         };
-        let json = writer.checkpoint().to_container_json();
-        spill::write_container(&self.spill_dir, &entry.id, &json)?;
+        if *unchanged {
+            self.unchanged_evictions.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let json = writer.checkpoint().to_container_json();
+            spill::write_container(&self.spill_dir, &entry.id, &json)?;
+            self.spills.fetch_add(1, Ordering::Relaxed);
+        }
         let words = *words;
         entry.reader.store(Arc::new(None));
         *slot = Slot::Spilled;
         self.resident_words.fetch_sub(words, Ordering::Relaxed);
         self.resident_count.fetch_sub(1, Ordering::Relaxed);
-        self.spills.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 

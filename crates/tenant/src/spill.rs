@@ -2,8 +2,9 @@
 //!
 //! An evicted tenant's state leaves memory as exactly the checkpoint
 //! container the rest of the workspace already writes (`rds-checkpoint`
-//! magic, format version, FNV-1a checksum over the canonical payload
-//! bytes — see `WriterCheckpoint::to_container_json`), landed with
+//! magic, format version, FNV-1a checksum over the payload bytes as
+//! stored — see [`seal_container`] and [`open_container`], the
+//! workspace's one container writer and reader), landed with
 //! [`rds_core::persist::write_atomic`] so a crash mid-spill can never
 //! destroy the previous good container: the incomplete write stays on a
 //! temp sibling and the rename is the commit.
@@ -13,15 +14,20 @@
 //! spilled tenants do not pile into one directory and directory scans
 //! stay cheap.
 //!
+//! The registry writes a container only for a tenant that changed since
+//! it was restored or created: an unchanged tenant's container (or, for
+//! a tenant never spilled, its template) already rebuilds it
+//! bit-identically, so evicting it just drops the sampler.
+//!
 //! The registry itself spills whole writers via their
 //! [`WriterCheckpoint`](robust_distinct_sampling::WriterCheckpoint); the
 //! generic [`seal_state`]/[`open_state`] pair below wraps *any*
-//! [`Checkpointable`] sampler state in the same container discipline, so
-//! the eviction-invisibility property tests can drive every sampler
-//! family — not just the two the facade hosts.
+//! [`Checkpointable`] sampler state in the same container, so the
+//! eviction-invisibility property tests can drive every sampler family —
+//! not just the two the facade hosts.
 
 use rds_core::{Checkpointable, RdsError};
-use robust_distinct_sampling::{fnv1a64, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};
+use robust_distinct_sampling::{fnv1a64, open_container, seal_container};
 use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
@@ -78,24 +84,15 @@ pub fn read_container(spill_dir: &Path, id: &str) -> Result<Option<String>, RdsE
 }
 
 /// Seals any [`Checkpointable`] sampler's state into a checkpoint
-/// container string — same magic, version and checksum discipline as the
-/// facade's writer containers, so a mixed-up file fails loudly instead
-/// of parsing.
+/// container string, through the facade's one container writer
+/// ([`seal_container`]) — same magic, version and checksum as writer
+/// containers, so a mixed-up file fails loudly instead of parsing.
 pub fn seal_state<S: Checkpointable>(sampler: &S) -> String {
-    let payload_json =
-        // lint:allow(L9) serializing an in-memory Value tree has no I/O
-        // and no unrepresentable cases; it cannot fail
-        serde_json::to_string(&sampler.checkpoint_state()).expect("value serialization is infallible");
-    let checksum = fnv1a64(payload_json.as_bytes());
-    format!(
-        "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\
-         \"version\":{CHECKPOINT_FORMAT_VERSION},\
-         \"checksum\":{checksum},\
-         \"payload\":{payload_json}}}"
-    )
+    seal_container(&sampler.checkpoint_state())
 }
 
-/// Verifies and reopens a container written by [`seal_state`], restoring
+/// Verifies and reopens a container written by [`seal_state`], through
+/// the facade's one container reader ([`open_container`]), restoring
 /// the sampler through its panic-free `try_from_state` path.
 ///
 /// # Errors
@@ -104,61 +101,8 @@ pub fn seal_state<S: Checkpointable>(sampler: &S) -> String {
 /// magic, unsupported version, checksum mismatch, malformed state, or a
 /// state the sampler family rejects.
 pub fn open_state<S: Checkpointable>(text: &str) -> Result<S, RdsError> {
-    let payload = verify_container(text)?;
+    let payload = open_container(text)?;
     let state = S::State::from_value(&payload)
         .map_err(|e| RdsError::checkpoint(format!("malformed spill payload: {e}")))?;
     S::try_from_state(state)
-}
-
-/// Checks a container's magic, format version and checksum, returning
-/// the verified payload value.
-fn verify_container(text: &str) -> Result<serde::Value, RdsError> {
-    let container: serde::Value = serde_json::from_str(text)
-        .map_err(|e| RdsError::checkpoint(format!("not a valid JSON container: {e}")))?;
-    match container.get("magic") {
-        Some(serde::Value::Str(m)) if m == CHECKPOINT_MAGIC => {}
-        Some(serde::Value::Str(m)) => {
-            return Err(RdsError::checkpoint(format!(
-                "bad magic `{m}` (expected `{CHECKPOINT_MAGIC}`)"
-            )))
-        }
-        _ => {
-            return Err(RdsError::checkpoint(format!(
-                "missing magic (expected `{CHECKPOINT_MAGIC}`) — not a checkpoint file?"
-            )))
-        }
-    }
-    let version = container
-        .get("version")
-        .map(u64::from_value)
-        .transpose()
-        .map_err(|e| RdsError::checkpoint(format!("bad version field: {e}")))?
-        .ok_or_else(|| RdsError::checkpoint("missing format version"))?;
-    if version != CHECKPOINT_FORMAT_VERSION {
-        return Err(RdsError::checkpoint(format!(
-            "unsupported format version {version} (this build reads \
-             version {CHECKPOINT_FORMAT_VERSION})"
-        )));
-    }
-    let expected = container
-        .get("checksum")
-        .map(u64::from_value)
-        .transpose()
-        .map_err(|e| RdsError::checkpoint(format!("bad checksum field: {e}")))?
-        .ok_or_else(|| RdsError::checkpoint("missing checksum"))?;
-    let payload = container
-        .get("payload")
-        .ok_or_else(|| RdsError::checkpoint("missing payload"))?;
-    let payload_json =
-        // lint:allow(L9) serializing an in-memory Value tree has no I/O
-        // and no unrepresentable cases; it cannot fail
-        serde_json::to_string(payload).expect("value serialization is infallible");
-    let actual = fnv1a64(payload_json.as_bytes());
-    if actual != expected {
-        return Err(RdsError::checkpoint(format!(
-            "checksum mismatch (stored {expected:#018x}, computed {actual:#018x}) — \
-             the payload was truncated or altered"
-        )));
-    }
-    Ok(payload.clone())
 }

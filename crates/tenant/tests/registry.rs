@@ -5,7 +5,7 @@
 use rds_core::RdsError;
 use rds_geometry::Point;
 use rds_stream::{Stamp, Window};
-use rds_tenant::{TenantRegistry, TenantTemplate, MAX_TENANT_ID_LEN};
+use rds_tenant::{spill, TenantRegistry, TenantTemplate, MAX_TENANT_ID_LEN};
 
 /// A fresh scratch spill directory unique to this test.
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -269,5 +269,214 @@ fn concurrent_tenants_under_pressure_stay_consistent() {
     assert_eq!(stats.tenants, 8);
     for t in 0..8u64 {
         assert_eq!(reg.snapshot(&format!("c{t}")).unwrap().seen(), 150);
+    }
+}
+
+// ---- write-back eviction ---------------------------------------------
+
+/// Asserts that tenant `id` answers bit-identically in both registries:
+/// epoch, items seen, F0 estimate, single draws and a `query_k`.
+fn assert_same_tenant(reg: &TenantRegistry, control: &TenantRegistry, id: &str) {
+    let (a, b) = (reg.snapshot(id).unwrap(), control.snapshot(id).unwrap());
+    assert_eq!(a.epoch(), b.epoch(), "tenant {id}: epoch");
+    assert_eq!(a.seen(), b.seen(), "tenant {id}: seen");
+    assert_eq!(
+        reg.f0_estimate(id).unwrap().to_bits(),
+        control.f0_estimate(id).unwrap().to_bits(),
+        "tenant {id}: f0"
+    );
+    for draw in 0..4u64 {
+        let (x, y) = (
+            reg.query_at(id, draw).unwrap(),
+            control.query_at(id, draw).unwrap(),
+        );
+        assert_eq!(
+            x.as_ref().map(|r| (&r.rep, r.count, &r.reservoir)),
+            y.as_ref().map(|r| (&r.rep, r.count, &r.reservoir)),
+            "tenant {id} draw {draw}"
+        );
+    }
+    let (ka, kb) = (
+        reg.query_k_at(id, 3, 9).unwrap(),
+        control.query_k_at(id, 3, 9).unwrap(),
+    );
+    let reps = |k: &[rds_core::GroupRecord]| k.iter().map(|r| r.rep.clone()).collect::<Vec<_>>();
+    assert_eq!(reps(&ka), reps(&kb), "tenant {id}: query_k");
+}
+
+/// A container's bytes and modification time: a rewrite (temp sibling
+/// plus rename) changes the time even when it writes the same bytes.
+fn stored(dir: &std::path::Path, id: &str) -> (Vec<u8>, std::time::SystemTime) {
+    let path = spill::container_path(dir, id);
+    let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+    (std::fs::read(&path).unwrap(), modified)
+}
+
+#[test]
+fn a_tenant_restored_only_to_read_is_evicted_without_a_write() {
+    let dir = scratch("wb-read");
+    let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+    let control = TenantRegistry::new(template(), usize::MAX, scratch("wb-read-ctl")).unwrap();
+    let pts = batch(3, 40);
+    reg.ingest("r", &pts, None).unwrap();
+    control.ingest("r", &pts, None).unwrap();
+    assert!(reg.evict("r").unwrap());
+    let written = stored(&dir, "r");
+    let s = reg.stats();
+    assert_eq!((s.spills, s.unchanged_evictions), (1, 0));
+    for round in 0..3 {
+        // a read restores the tenant; evicting it again writes nothing
+        assert_same_tenant(&reg, &control, "r");
+        assert!(reg.evict("r").unwrap(), "round {round}");
+        assert!(!reg.is_resident("r"));
+        assert!(
+            stored(&dir, "r") == written,
+            "round {round}: container rewritten"
+        );
+    }
+    let s = reg.stats();
+    assert_eq!((s.spills, s.unchanged_evictions), (1, 3));
+    assert_eq!((s.restores, s.creates), (3, 1));
+    assert_eq!((s.resident, s.resident_words), (0, 0));
+    // the next ingest continues from exactly the evicted state
+    let more = batch(11, 25);
+    reg.ingest("r", &more, None).unwrap();
+    control.ingest("r", &more, None).unwrap();
+    assert_same_tenant(&reg, &control, "r");
+}
+
+#[test]
+fn a_container_saved_dirty_restores_at_the_same_epoch_every_time() {
+    // A container captured after items the writer had not published
+    // restores under the next epoch. Dropping the unchanged writer and
+    // restoring again must land on that same epoch, not one more.
+    let dir = scratch("wb-dirty");
+    let t = template();
+    let (mut writer, _reader) = robust_distinct_sampling::Rds::builder()
+        .dim(t.dim)
+        .alpha(t.alpha)
+        .window(t.window)
+        .shards(1)
+        .seed(t.tenant_seed("d"))
+        .expected_len(t.expected_len)
+        .publish_cadence(robust_distinct_sampling::PublishCadence::Manual)
+        .build_split()
+        .unwrap();
+    for p in batch(5, 30) {
+        writer.process(p);
+    }
+    let chk = writer.checkpoint();
+    let saved_epoch = chk.epoch();
+    spill::write_container(&dir, "d", &chk.to_container_json()).unwrap();
+    let reg = TenantRegistry::new(t, usize::MAX, &dir).unwrap();
+    let first = reg.snapshot("d").unwrap();
+    assert_eq!(first.epoch(), saved_epoch + 1);
+    for _ in 0..2 {
+        assert!(reg.evict("d").unwrap());
+        let again = reg.snapshot("d").unwrap();
+        assert_eq!(again.epoch(), first.epoch());
+        assert_eq!(again.f0_estimate().to_bits(), first.f0_estimate().to_bits());
+    }
+    assert_eq!(reg.stats().spills, 0);
+}
+
+#[test]
+fn a_tenant_first_touched_by_a_read_leaves_no_container() {
+    let dir = scratch("wb-fresh");
+    let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+    let control = TenantRegistry::new(template(), usize::MAX, scratch("wb-fresh-ctl")).unwrap();
+    assert_eq!(reg.f0_estimate("q").unwrap(), 0.0);
+    assert!(reg.evict("q").unwrap());
+    assert!(!spill::container_path(&dir, "q").exists());
+    let s = reg.stats();
+    assert_eq!((s.creates, s.restores), (1, 0));
+    assert_eq!((s.spills, s.unchanged_evictions), (0, 1));
+    // its next touch builds it from the template again
+    let pts = batch(1, 30);
+    reg.ingest("q", &pts, None).unwrap();
+    control.ingest("q", &pts, None).unwrap();
+    assert_eq!(reg.stats().creates, 2);
+    assert_same_tenant(&reg, &control, "q");
+}
+
+#[test]
+fn a_change_after_a_restore_makes_the_next_eviction_write() {
+    let dir = scratch("wb-change");
+    let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+    let control = TenantRegistry::new(template(), usize::MAX, scratch("wb-change-ctl")).unwrap();
+    for (round, salt) in [0u64, 4, 9].into_iter().enumerate() {
+        let pts = batch(salt, 20);
+        // the first round creates the tenant, later ones restore it
+        reg.ingest("c", &pts, None).unwrap();
+        control.ingest("c", &pts, None).unwrap();
+        let before = spill::container_path(&dir, "c")
+            .exists()
+            .then(|| stored(&dir, "c"));
+        assert!(reg.evict("c").unwrap());
+        assert!(Some(stored(&dir, "c")) != before, "round {round}: no write");
+        let s = reg.stats();
+        assert_eq!((s.spills, s.unchanged_evictions), (round as u64 + 1, 0));
+    }
+    // a new process on the same directory resumes the last write
+    let reopened = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+    assert_same_tenant(&reopened, &control, "c");
+
+    // an advance after a restore is a change too
+    let mut t = template();
+    t.window = Window::Time(10);
+    let dir = scratch("wb-advance");
+    let reg = TenantRegistry::new(t.clone(), usize::MAX, &dir).unwrap();
+    let times: Vec<u64> = (0..20).collect();
+    reg.ingest("w", &batch(0, 20), Some(&times)).unwrap();
+    assert!(reg.evict("w").unwrap());
+    assert!(reg.f0_estimate("w").unwrap() >= 1.0);
+    reg.advance("w", Stamp::new(20, 1_000)).unwrap();
+    assert!(reg.evict("w").unwrap());
+    assert_eq!(reg.stats().spills, 2);
+    let reopened = TenantRegistry::new(t, usize::MAX, &dir).unwrap();
+    assert_eq!(
+        reopened.f0_estimate("w").unwrap(),
+        0.0,
+        "the advance was lost"
+    );
+}
+
+#[test]
+fn spill_all_after_read_only_traffic_still_resumes_every_tenant() {
+    let dir = scratch("wb-reopen");
+    let control = TenantRegistry::new(template(), usize::MAX, scratch("wb-reopen-ctl")).unwrap();
+    let ids: Vec<String> = (0..5).map(|t| format!("t{t}")).collect();
+    {
+        let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+        for (t, id) in ids.iter().enumerate() {
+            let pts = batch(t as u64, 30);
+            reg.ingest(id, &pts, None).unwrap();
+            control.ingest(id, &pts, None).unwrap();
+        }
+        assert_eq!(reg.spill_all().unwrap(), 5);
+    }
+    {
+        // read-only traffic: every tenant restores, one more is created
+        let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+        for id in &ids {
+            assert_same_tenant(&reg, &control, id);
+        }
+        assert_eq!(reg.f0_estimate("reader-only").unwrap(), 0.0);
+        assert_eq!(reg.spill_all().unwrap(), 6);
+        let s = reg.stats();
+        assert_eq!((s.restores, s.creates), (5, 1));
+        assert_eq!((s.spills, s.unchanged_evictions), (0, 6));
+        assert_eq!(reg.resident_words(), 0);
+    }
+    let reg = TenantRegistry::new(template(), usize::MAX, &dir).unwrap();
+    for (t, id) in ids
+        .iter()
+        .chain(["reader-only".to_owned()].iter())
+        .enumerate()
+    {
+        let pts = batch(t as u64 + 50, 15);
+        reg.ingest(id, &pts, None).unwrap();
+        control.ingest(id, &pts, None).unwrap();
+        assert_same_tenant(&reg, &control, id);
     }
 }

@@ -270,12 +270,10 @@ fn checkpoint_err(reason: impl Into<String>) -> RdsError {
     RdsError::checkpoint(reason)
 }
 
-/// FNV-1a over the canonical payload JSON — the container's integrity
-/// check. Not cryptographic; it catches truncation and bit rot, not
-/// adversaries. Public because every container in the checkpoint family
-/// (writer checkpoints here, tenant spill containers in `rds-tenant`)
-/// shares this one checksum so a mixed-up file fails loudly instead of
-/// parsing.
+/// FNV-1a over the stored payload JSON — the container's integrity
+/// check (see [`seal_container`]). Not cryptographic; it catches
+/// truncation and bit rot, not adversaries. Public because `rds-tenant`
+/// also derives tenant seeds and spill shard directories from it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -290,6 +288,88 @@ pub const CHECKPOINT_MAGIC: &str = "rds-checkpoint";
 
 /// The checkpoint container format version this build writes and reads.
 pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
+
+/// Seals `payload` into a checkpoint container:
+///
+/// ```json
+/// {"magic":"rds-checkpoint","version":1,"checksum":<fnv1a64>,"payload":...}
+/// ```
+///
+/// The payload is serialized once, compactly, and spliced in verbatim,
+/// so the checksummed bytes are the stored bytes. The result is
+/// byte-identical to serializing the whole container as one tree
+/// (compact writer, keys in this order). Every container in the
+/// workspace is written here: writer checkpoints
+/// ([`WriterCheckpoint::to_container_json`]) and the tenant layer's
+/// sealed sampler states.
+pub fn seal_container<T: Serialize + ?Sized>(payload: &T) -> String {
+    let payload_json =
+        // lint:allow(L1) serializing an in-memory Value tree has no
+        // I/O and no unrepresentable cases; it cannot fail
+        serde_json::to_string(payload).expect("value serialization is infallible");
+    let checksum = fnv1a64(payload_json.as_bytes());
+    format!(
+        "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\
+         \"version\":{CHECKPOINT_FORMAT_VERSION},\
+         \"checksum\":{checksum},\
+         \"payload\":{payload_json}}}"
+    )
+}
+
+/// Verifies a container written by [`seal_container`] and returns its
+/// payload tree. The checksum is taken over the payload's bytes as
+/// stored, so a payload that was re-formatted (extra whitespace, say)
+/// fails it just as a bit-rotted one does.
+///
+/// # Errors
+///
+/// [`RdsError::Checkpoint`] naming what failed: unparseable JSON, a
+/// missing or wrong magic, an unsupported format version, a missing
+/// payload or a checksum mismatch.
+pub fn open_container(text: &str) -> Result<serde::Value, RdsError> {
+    let mut members = serde_json::object_members_from_str(text)
+        .map_err(|e| checkpoint_err(format!("not a valid JSON container: {e}")))?;
+    let find = |name: &str| members.iter().position(|(k, _, _)| k == name);
+    let field = |name: &str| find(name).map(|i| &members[i].1);
+    match field("magic") {
+        Some(serde::Value::Str(m)) if m == CHECKPOINT_MAGIC => {}
+        Some(serde::Value::Str(m)) => {
+            return Err(checkpoint_err(format!(
+                "bad magic `{m}` (expected `{CHECKPOINT_MAGIC}`)"
+            )))
+        }
+        _ => {
+            return Err(checkpoint_err(format!(
+                "missing magic (expected `{CHECKPOINT_MAGIC}`) — not a checkpoint file?"
+            )))
+        }
+    }
+    let version = field("version")
+        .map(u64::from_value)
+        .transpose()
+        .map_err(|e| checkpoint_err(format!("bad version field: {e}")))?
+        .ok_or_else(|| checkpoint_err("missing format version"))?;
+    if version != CHECKPOINT_FORMAT_VERSION {
+        return Err(checkpoint_err(format!(
+            "unsupported format version {version} (this build reads \
+             version {CHECKPOINT_FORMAT_VERSION})"
+        )));
+    }
+    let expected = field("checksum")
+        .map(u64::from_value)
+        .transpose()
+        .map_err(|e| checkpoint_err(format!("bad checksum field: {e}")))?
+        .ok_or_else(|| checkpoint_err("missing checksum"))?;
+    let at = find("payload").ok_or_else(|| checkpoint_err("missing payload"))?;
+    let actual = fnv1a64(members[at].2.as_bytes());
+    if actual != expected {
+        return Err(checkpoint_err(format!(
+            "checksum mismatch (stored {expected:#018x}, computed {actual:#018x}) — \
+             the payload was truncated or altered"
+        )));
+    }
+    Ok(members.swap_remove(at).1)
+}
 
 /// The backend's full state inside a [`WriterCheckpoint`]: per sampler
 /// family, the bare sampler state of a one-shard engine (the `"single"`
@@ -369,9 +449,13 @@ impl Deserialize for BackendState {
 ///
 /// ```json
 /// { "magic": "rds-checkpoint", "version": 1,
-///   "checksum": <fnv1a64 of the canonical payload JSON>,
+///   "checksum": <fnv1a64 of the payload JSON as stored>,
 ///   "payload": { ...this struct... } }
 /// ```
+///
+/// The writer splices the compact payload text into the container
+/// verbatim and the reader checksums those stored bytes, so the check
+/// costs one pass over them and no second serialization.
 ///
 /// A mismatched magic, an unsupported version, a failing checksum, or a
 /// config echo that contradicts explicitly-set builder parameters all
@@ -422,85 +506,22 @@ impl WriterCheckpoint {
     }
 
     /// Serializes the checkpoint into the versioned, checksummed JSON
-    /// container format.
+    /// container format (see [`seal_container`]).
     pub fn to_container_json(&self) -> String {
-        let payload_json =
-            // lint:allow(L1) serializing an in-memory Value tree has no
-            // I/O and no unrepresentable cases; it cannot fail
-            serde_json::to_string(&self.to_value()).expect("value serialization is infallible");
-        let checksum = fnv1a64(payload_json.as_bytes());
-        // Splice the payload text instead of re-serializing the tree: the
-        // payload is by far the largest JSON this library produces, and
-        // splicing guarantees the checksummed bytes ARE the stored bytes.
-        // The spliced string is byte-identical to serializing the whole
-        // container Value (compact writer, declaration-ordered keys) —
-        // `container_json_round_trips_the_checkpoint` pins that down.
-        format!(
-            "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\
-             \"version\":{CHECKPOINT_FORMAT_VERSION},\
-             \"checksum\":{checksum},\
-             \"payload\":{payload_json}}}"
-        )
+        seal_container(self)
     }
 
     /// Parses and verifies a container produced by
-    /// [`Self::to_container_json`].
+    /// [`Self::to_container_json`] (see [`open_container`]).
     ///
     /// # Errors
     ///
     /// [`RdsError::Checkpoint`] naming what failed: unparseable JSON, a
     /// missing or wrong magic, an unsupported format version, a checksum
-    /// mismatch (truncated or bit-rotted payload), or a malformed
-    /// payload.
+    /// mismatch (truncated, bit-rotted or re-formatted payload), or a
+    /// malformed payload.
     pub fn from_container_json(text: &str) -> Result<Self, RdsError> {
-        let container: serde::Value = serde_json::from_str(text)
-            .map_err(|e| checkpoint_err(format!("not a valid JSON container: {e}")))?;
-        match container.get("magic") {
-            Some(serde::Value::Str(m)) if m == CHECKPOINT_MAGIC => {}
-            Some(serde::Value::Str(m)) => {
-                return Err(checkpoint_err(format!(
-                    "bad magic `{m}` (expected `{CHECKPOINT_MAGIC}`)"
-                )))
-            }
-            _ => {
-                return Err(checkpoint_err(format!(
-                    "missing magic (expected `{CHECKPOINT_MAGIC}`) — not a checkpoint file?"
-                )))
-            }
-        }
-        let version = container
-            .get("version")
-            .map(u64::from_value)
-            .transpose()
-            .map_err(|e| checkpoint_err(format!("bad version field: {e}")))?
-            .ok_or_else(|| checkpoint_err("missing format version"))?;
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(checkpoint_err(format!(
-                "unsupported format version {version} (this build reads \
-                 version {CHECKPOINT_FORMAT_VERSION})"
-            )));
-        }
-        let expected = container
-            .get("checksum")
-            .map(u64::from_value)
-            .transpose()
-            .map_err(|e| checkpoint_err(format!("bad checksum field: {e}")))?
-            .ok_or_else(|| checkpoint_err("missing checksum"))?;
-        let payload = container
-            .get("payload")
-            .ok_or_else(|| checkpoint_err("missing payload"))?;
-        let payload_json =
-            // lint:allow(L1) serializing an in-memory Value tree has no
-            // I/O and no unrepresentable cases; it cannot fail
-            serde_json::to_string(payload).expect("value serialization is infallible");
-        let actual = fnv1a64(payload_json.as_bytes());
-        if actual != expected {
-            return Err(checkpoint_err(format!(
-                "checksum mismatch (stored {expected:#018x}, computed {actual:#018x}) — \
-                 the payload was truncated or altered"
-            )));
-        }
-        WriterCheckpoint::from_value(payload)
+        WriterCheckpoint::from_value(&open_container(text)?)
             .map_err(|e| checkpoint_err(format!("malformed payload: {e}")))
     }
 }

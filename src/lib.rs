@@ -68,8 +68,8 @@
 mod facade;
 
 pub use facade::{
-    fnv1a64, PublishCadence, Rds, RdsBuilder, RdsReader, RdsWriter, Snapshot, WriterCheckpoint,
-    CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC, DEFAULT_PUBLISH_EVERY,
+    fnv1a64, open_container, seal_container, PublishCadence, Rds, RdsBuilder, RdsReader, RdsWriter,
+    Snapshot, WriterCheckpoint, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC, DEFAULT_PUBLISH_EVERY,
 };
 
 pub use rds_baselines as baselines;

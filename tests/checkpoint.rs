@@ -300,6 +300,54 @@ fn forged_engine_batch_size_is_a_typed_error_not_an_abort() {
 }
 
 #[test]
+fn a_reformatted_payload_fails_the_checksum() {
+    // The checksum covers the payload bytes as stored: a container whose
+    // payload gained one space no longer verifies, although it parses to
+    // the same tree.
+    let (mut cw, _) = pair(Window::Infinite, 2);
+    for i in 0..100u64 {
+        cw.process_item(item(i, 10));
+    }
+    let good = cw.checkpoint().to_container_json();
+    assert!(WriterCheckpoint::from_container_json(&good).is_ok());
+    let spaced = good.replacen("\"fed\":", "\"fed\": ", 1);
+    assert_ne!(spaced, good, "fixture: the fed field must exist");
+    match WriterCheckpoint::from_container_json(&spaced) {
+        Err(RdsError::Checkpoint { reason }) => {
+            assert!(reason.contains("checksum"), "reason: {reason}")
+        }
+        other => panic!("expected a checksum failure, got {other:?}"),
+    }
+    // whitespace around the payload is not part of it
+    let padded = good.replacen("\"payload\":", "\"payload\": \n", 1);
+    assert!(WriterCheckpoint::from_container_json(&padded).is_ok());
+}
+
+#[test]
+fn a_deeply_nested_container_is_a_typed_error_not_a_stack_overflow() {
+    // Run on a thread with a small stack: a parser that recursed once
+    // per `[` would overflow it and abort the whole test binary.
+    let outcome = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(|| {
+            let deep = format!(
+                "{{\"magic\":\"rds-checkpoint\",\"version\":1,\"checksum\":0,\"payload\":{}}}",
+                "[".repeat(100_000)
+            );
+            WriterCheckpoint::from_container_json(&deep).map(|_| ())
+        })
+        .expect("spawn")
+        .join()
+        .expect("the parse must not panic");
+    match outcome {
+        Err(RdsError::Checkpoint { reason }) => {
+            assert!(reason.contains("nest deeper"), "reason: {reason}")
+        }
+        other => panic!("expected a typed checkpoint error, got {other:?}"),
+    }
+}
+
+#[test]
 fn container_json_round_trips_the_checkpoint() {
     let (mut cw, _) = pair(Window::Infinite, 1);
     for i in 0..80u64 {
