@@ -99,26 +99,6 @@ cargo test -q --release --test concurrent_split
 echo "==> checkpoint crash-recovery + round-trip property suites (--release)"
 cargo test -q --release --test checkpoint --test checkpoint_props
 
-echo "==> CLI checkpoint smoke (save, crash, restore+resume, count)"
-cargo build -q --release -p rds-cli
-CHK_DIR=$(mktemp -d)
-for i in $(seq 0 119); do echo "$(( (i % 12) * 10 )).0"; done > "$CHK_DIR/all.csv"
-head -60 "$CHK_DIR/all.csv" > "$CHK_DIR/first.csv"
-tail -60 "$CHK_DIR/all.csv" > "$CHK_DIR/second.csv"
-target/release/rds checkpoint save "$CHK_DIR/half.chk" \
-    --alpha 0.5 --seed 5 --shards 2 < "$CHK_DIR/first.csv" > "$CHK_DIR/save.out"
-pre_crash=$(grep -o 'f0 [0-9.]*' "$CHK_DIR/save.out")
-target/release/rds checkpoint restore "$CHK_DIR/half.chk" \
-    < "$CHK_DIR/second.csv" > "$CHK_DIR/restore.out"
-restored=$(grep -o 'f0 [0-9.]*' "$CHK_DIR/restore.out")
-counted=$(target/release/rds count --alpha 0.5 --eps 1.0 --seed 5 < "$CHK_DIR/all.csv")
-echo "    pre-crash: $pre_crash | restored+resumed: $restored | uninterrupted count: $counted"
-[ -n "$pre_crash" ] && [ "$restored" = "$pre_crash" ] || {
-    echo "restored estimate '$restored' does not match pre-crash '$pre_crash'"; exit 1; }
-[ "$counted" = "12.0" ] && [ "$restored" = "f0 12.0" ] || {
-    echo "crash-recovered estimate diverged from the uninterrupted count"; exit 1; }
-rm -rf "$CHK_DIR"
-
 echo "==> merge/uniformity/window-boundary/conformance test suite"
 cargo test -q --test distributed_props --test merge_differential --test merge_incremental \
     --test uniformity --test sliding_window_bounds --test trait_conformance

@@ -14,8 +14,9 @@
 use rds_core::{RdsError, RobustHeavyHitters};
 use rds_geometry::Point;
 use rds_stream::{Stamp, StreamItem, Window};
-use robust_distinct_sampling::{Rds, Snapshot};
+use robust_distinct_sampling::{Rds, RdsBuilder, Snapshot};
 use std::io::BufRead;
+use std::slice::Iter;
 
 /// Which command to run.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,18 +72,12 @@ pub enum Command {
 pub struct Cli {
     /// The selected command.
     pub command: Command,
-    /// Near-duplicate distance threshold.
-    pub alpha: f64,
-    /// Optional sliding window (`--window N`, sequence-based; `--time`
-    /// switches to timestamp expiry with the last column as timestamp).
-    pub window: Option<Window>,
-    /// PRNG seed.
-    pub seed: u64,
-    /// Expected stream length (tunes thresholds; an estimate is fine).
-    pub expected_len: u64,
-    /// Worker shards for the `sample`/`count` pipeline (`--shards N`;
-    /// works with and without `--window`; 1 = in-process sampler).
-    pub shards: usize,
+    /// The stream the command runs on, built once the first input line
+    /// fixes the dimension: `k` for `sample` and the count accuracy for
+    /// `count` are already applied. `heavy` reads its `alpha` here and
+    /// `snapshot query` its seed (the draw token); for `checkpoint
+    /// restore` it is empty, since the file configures the stream.
+    pub stream: RdsBuilder,
 }
 
 /// How a run failed, split by exit code: usage and configuration errors
@@ -119,6 +114,110 @@ impl CliError {
     }
 }
 
+/// `--seed`'s default for every command but `serve`.
+const SEED_DEFAULT: u64 = 1;
+
+/// `--seed`'s default for `serve`. Every tenant's seed derives from it,
+/// and a spilled tenant restores only under the seed it was built with,
+/// so a server started without `--seed` must keep serving seed 0.
+const SERVE_SEED_DEFAULT: u64 = 0;
+
+/// The stream flags [`parse_cli`] and [`parse_serve`] share, parsed in
+/// one place.
+struct StreamFlags {
+    /// `--alpha`, `--seed`, `--expected-len` and `--shards`, over the
+    /// command's seed default.
+    stream: RdsBuilder,
+    /// `--window`: its kind is known once `--time` may have followed.
+    window: Option<u64>,
+    time: bool,
+    /// `--k` and `--eps`, which each command applies in its own way.
+    k: Option<usize>,
+    eps: Option<f64>,
+    /// Every stream flag given: a command whose file configures the
+    /// stream refuses them.
+    given: Vec<String>,
+}
+
+impl StreamFlags {
+    fn new(seed: u64) -> Self {
+        Self {
+            stream: Rds::builder().seed(seed),
+            window: None,
+            time: false,
+            k: None,
+            eps: None,
+            given: Vec::new(),
+        }
+    }
+
+    /// Takes `flag`, and its value from `it`, if it is a stream flag;
+    /// returns whether it was.
+    fn take(&mut self, flag: &str, it: &mut Iter<'_, String>) -> Result<bool, String> {
+        match flag {
+            "--time" => self.time = true,
+            "--window" => self.window = Some(next_num(it, flag)?),
+            "--k" => self.k = Some(next_num(it, flag)?),
+            "--eps" => self.eps = Some(next_num(it, flag)?),
+            "--alpha" | "--seed" | "--expected-len" | "--shards" => {
+                let b = std::mem::take(&mut self.stream);
+                self.stream = match flag {
+                    "--alpha" => b.alpha(next_num(it, flag)?),
+                    "--seed" => b.seed(next_num(it, flag)?),
+                    "--expected-len" => b.expected_len(next_num(it, flag)?),
+                    _ => b.shards(next_num(it, flag)?),
+                };
+            }
+            _ => return Ok(false),
+        }
+        self.given.push(flag.to_string());
+        Ok(true)
+    }
+
+    /// Fails when a stream flag outside `exempt` was given to `cmd`,
+    /// whose file configures the stream. Explicit values are refused
+    /// too (an `--alpha 0.0` must not slip through), and so are inert
+    /// ones.
+    fn refuse(&self, cmd: &str, exempt: &[&str]) -> Result<(), String> {
+        match self.given.iter().find(|f| !exempt.contains(&f.as_str())) {
+            Some(flag) => Err(format!(
+                "{cmd} reads the sampler configuration from the file's \
+                 config echo; {flag} does not apply"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The stream of a command its flags configure: `--alpha` is
+    /// required and positive, `--shards` at least 1, and `--window W`
+    /// keeps the last `W` items, or `W` time units with `--time`.
+    /// Parameter values the parser cannot judge (a NaN `--alpha`) are
+    /// left to the facade's validation.
+    fn into_stream(self) -> Result<RdsBuilder, String> {
+        let alpha = self.stream.get_alpha().ok_or("--alpha is required")?;
+        if alpha <= 0.0 {
+            return Err("--alpha must be positive".into());
+        }
+        if self.stream.get_shards() == 0 {
+            return Err("--shards must be at least 1".into());
+        }
+        Ok(match self.window {
+            Some(w) if self.time => self.stream.window(Window::Time(w)),
+            Some(w) => self.stream.window(Window::Sequence(w)),
+            None => self.stream,
+        })
+    }
+}
+
+fn next_value<'a>(it: &mut Iter<'a, String>, name: &str) -> Result<&'a String, String> {
+    it.next().ok_or(format!("{name} expects a value"))
+}
+
+fn next_num<T: std::str::FromStr>(it: &mut Iter<'_, String>, name: &str) -> Result<T, String> {
+    let s = next_value(it, name)?;
+    s.parse().map_err(|_| format!("{name}: invalid number {s}"))
+}
+
 /// Parses the command line. `args` excludes the program name.
 ///
 /// # Errors
@@ -127,7 +226,7 @@ impl CliError {
 /// combinations the parser cannot judge (e.g. a NaN `--alpha`) are left
 /// to the facade's [`RdsError`] validation at run time.
 pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let cmd = it.next().ok_or_else(usage)?;
     // `snapshot <save|query> <path>` and `checkpoint <save|restore>
     // <path>` carry two positional operands.
@@ -144,56 +243,26 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
             .ok_or(format!("{cmd} {action} expects a file path"))?;
         file_action = Some((action.clone(), path.clone()));
     }
-    let mut k = 1usize;
-    let mut eps = 0.3f64;
-    let mut eps_set = false;
+    let mut flags = StreamFlags::new(SEED_DEFAULT);
     let mut phi = 0.1f64;
-    let mut phi_set = false;
-    let mut alpha = None;
-    let mut window_len: Option<u64> = None;
-    let mut time_based = false;
-    let mut seed = 1u64;
-    let mut seed_set = false;
-    let mut expected_len = 1 << 20;
-    let mut expected_len_set = false;
-    let mut shards = 1usize;
-    let mut shards_set = false;
-
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
+        if flags.take(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--alpha" => alpha = Some(parse_num(val("--alpha")?, "--alpha")?),
-            "--k" => k = parse_num::<usize>(val("--k")?, "--k")?,
-            "--eps" => {
-                eps = parse_num(val("--eps")?, "--eps")?;
-                eps_set = true;
-            }
             "--phi" => {
-                phi = parse_num(val("--phi")?, "--phi")?;
-                phi_set = true;
-            }
-            "--window" => window_len = Some(parse_num(val("--window")?, "--window")?),
-            "--time" => time_based = true,
-            "--seed" => {
-                seed = parse_num(val("--seed")?, "--seed")?;
-                seed_set = true;
-            }
-            "--expected-len" => {
-                expected_len = parse_num(val("--expected-len")?, "--expected-len")?;
-                expected_len_set = true;
-            }
-            "--shards" => {
-                shards = parse_num(val("--shards")?, "--shards")?;
-                shards_set = true;
+                phi = next_num(&mut it, "--phi")?;
+                // inert for `checkpoint restore`, which refuses it
+                flags.given.push("--phi".into());
             }
             other => return Err(format!("unknown option {other}\n{}", usage())),
         }
     }
+    let k = flags.k.unwrap_or(1);
     let command = match cmd.as_str() {
         "sample" => Command::Sample { k },
         "count" => {
+            let eps = flags.eps.unwrap_or(0.3);
             if !(eps > 0.0 && eps <= 1.0) {
                 return Err("--eps must be in (0, 1]".into());
             }
@@ -212,209 +281,101 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
         },
         other => return Err(format!("unknown command {other}\n{}", usage())),
     };
-    // File-reading commands take their configuration from the file, not
-    // the command line. The restore check runs before alpha is resolved
-    // so an explicit `--alpha 0.0` is caught too, and inert flags
-    // (`--eps`, `--phi`) are rejected rather than silently ignored.
-    if matches!(command, Command::CheckpointRestore { .. })
-        && (alpha.is_some()
-            || window_len.is_some()
-            || time_based
-            || seed_set
-            || expected_len_set
-            || shards_set
-            || eps_set
-            || phi_set)
-    {
-        return Err(
-            "checkpoint restore reads the sampler configuration from the \
-             file's config echo; --alpha/--window/--time/--seed/\
-             --expected-len/--shards/--eps/--phi do not apply"
-                .into(),
-        );
-    }
-    let reads_config_from_file = matches!(
-        command,
-        Command::SnapshotQuery { .. } | Command::CheckpointRestore { .. }
-    );
-    let alpha = if reads_config_from_file {
-        alpha.unwrap_or(0.0)
-    } else {
-        let alpha = alpha.ok_or("--alpha is required".to_string())?;
-        if alpha <= 0.0 {
-            return Err("--alpha must be positive".into());
+    let stream = match &command {
+        // `--k` is the number of samples it prints.
+        Command::CheckpointRestore { .. } => {
+            flags.refuse("checkpoint restore", &["--k"])?;
+            Rds::builder()
         }
-        alpha
+        Command::SnapshotQuery { .. } => {
+            if flags.window.is_some() || flags.stream.get_shards() != 1 {
+                return Err("snapshot query reads a file; --window/--shards do not apply".into());
+            }
+            flags.stream
+        }
+        Command::Heavy { .. } if flags.window.is_some() => {
+            return Err("heavy does not support --window".into());
+        }
+        Command::Heavy { .. } if flags.stream.get_shards() > 1 => {
+            return Err("heavy does not support --shards".into());
+        }
+        Command::Sample { k } => flags.into_stream()?.k((*k).max(1)),
+        Command::Count { eps } => flags.into_stream()?.count_accuracy(*eps),
+        Command::Heavy { .. } | Command::SnapshotSave { .. } | Command::CheckpointSave { .. } => {
+            flags.into_stream()?
+        }
     };
-    let window = window_len.map(|w| {
-        if time_based {
-            Window::Time(w)
-        } else {
-            Window::Sequence(w)
-        }
-    });
-    if matches!(command, Command::Heavy { .. }) && window.is_some() {
-        return Err("heavy does not support --window".into());
-    }
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    if shards > 1 && matches!(command, Command::Heavy { .. }) {
-        return Err("heavy does not support --shards".into());
-    }
-    if matches!(command, Command::SnapshotQuery { .. }) && (window.is_some() || shards > 1) {
-        return Err("snapshot query reads a file; --window/--shards do not apply".into());
-    }
-    Ok(Cli {
-        command,
-        alpha,
-        window,
-        seed,
-        expected_len,
-        shards,
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{name}: invalid number {s}"))
+    Ok(Cli { command, stream })
 }
 
 /// Parses `serve` arguments (everything after the `serve` word) into a
 /// [`rds_server::ServerConfig`].
 ///
 /// `--dim` and `--alpha` are required unless `--restore PATH` is given,
-/// in which case the checkpoint's config echo is authoritative and the
-/// stream-configuration flags are rejected (mirroring `checkpoint
-/// restore`); `--publish-every` stays honored either way.
+/// in which case the checkpoint's config echo configures the stream and
+/// the stream flags are refused (as `checkpoint restore` refuses them);
+/// `--publish-every` applies either way.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on malformed input.
 pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> {
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut threads: Option<usize> = None;
-    let mut max_body: Option<usize> = None;
-    let mut read_timeout: Option<u64> = None;
+    let mut cfg = rds_server::ServerConfig::new(Rds::builder());
+    cfg.addr = "127.0.0.1:8080".to_string();
+    let mut flags = StreamFlags::new(SERVE_SEED_DEFAULT);
     let mut dim: Option<usize> = None;
-    let mut alpha: Option<f64> = None;
-    let mut window_len: Option<u64> = None;
-    let mut time_based = false;
-    let mut shards: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut expected_len: Option<u64> = None;
-    let mut k: Option<usize> = None;
-    let mut eps: Option<f64> = None;
     let mut publish_every: Option<u64> = None;
-    let mut restore: Option<String> = None;
     let mut tenants = false;
     let mut budget_words: Option<usize> = None;
     let mut spill_dir: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} expects a value"))
-        };
+        if flags.take(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--addr" => addr = val("--addr")?.clone(),
-            "--threads" => threads = Some(parse_num(val("--threads")?, "--threads")?),
-            "--max-body-bytes" => {
-                max_body = Some(parse_num(val("--max-body-bytes")?, "--max-body-bytes")?);
+            "--addr" => cfg.addr = next_value(&mut it, "--addr")?.clone(),
+            "--threads" => cfg.threads = next_num(&mut it, "--threads")?,
+            "--max-body-bytes" => cfg.max_body_bytes = next_num(&mut it, "--max-body-bytes")?,
+            "--read-timeout-ms" => cfg.read_timeout_ms = next_num(&mut it, "--read-timeout-ms")?,
+            "--dim" => {
+                dim = Some(next_num(&mut it, "--dim")?);
+                flags.given.push("--dim".into());
             }
-            "--read-timeout-ms" => {
-                read_timeout = Some(parse_num(val("--read-timeout-ms")?, "--read-timeout-ms")?);
-            }
-            "--dim" => dim = Some(parse_num(val("--dim")?, "--dim")?),
-            "--alpha" => alpha = Some(parse_num(val("--alpha")?, "--alpha")?),
-            "--window" => window_len = Some(parse_num(val("--window")?, "--window")?),
-            "--time" => time_based = true,
-            "--shards" => shards = Some(parse_num(val("--shards")?, "--shards")?),
-            "--seed" => seed = Some(parse_num(val("--seed")?, "--seed")?),
-            "--expected-len" => {
-                expected_len = Some(parse_num(val("--expected-len")?, "--expected-len")?);
-            }
-            "--k" => k = Some(parse_num(val("--k")?, "--k")?),
-            "--eps" => eps = Some(parse_num(val("--eps")?, "--eps")?),
-            "--publish-every" => {
-                publish_every = Some(parse_num(val("--publish-every")?, "--publish-every")?);
-            }
-            "--restore" => restore = Some(val("--restore")?.clone()),
+            "--publish-every" => publish_every = Some(next_num(&mut it, "--publish-every")?),
+            "--restore" => cfg.restore_from = Some(next_value(&mut it, "--restore")?.clone()),
             "--tenants" => tenants = true,
-            "--budget-words" => {
-                budget_words = Some(parse_num(val("--budget-words")?, "--budget-words")?);
-            }
-            "--spill-dir" => spill_dir = Some(val("--spill-dir")?.clone()),
+            "--budget-words" => budget_words = Some(next_num(&mut it, "--budget-words")?),
+            "--spill-dir" => spill_dir = Some(next_value(&mut it, "--spill-dir")?.clone()),
             other => return Err(format!("unknown serve option {other}\n{}", usage())),
         }
     }
 
-    let backend = if let Some(path) = restore {
-        if dim.is_some()
-            || alpha.is_some()
-            || window_len.is_some()
-            || time_based
-            || shards.is_some()
-            || seed.is_some()
-            || expected_len.is_some()
-            || k.is_some()
-            || eps.is_some()
-        {
-            return Err("serve --restore reads the sampler configuration from the \
-                 file's config echo; --dim/--alpha/--window/--time/--shards/\
-                 --seed/--expected-len/--k/--eps do not apply \
-                 (--publish-every still does)"
-                .into());
-        }
-        let mut b = rds_server::BackendConfig::new(0, 0.0);
-        b.restore_from = Some(path);
-        b
+    let stream = if cfg.restore_from.is_some() {
+        flags.refuse("serve --restore", &[])?;
+        Rds::builder()
     } else {
-        let dim = dim.ok_or("serve needs --dim (or --restore)".to_string())?;
-        let alpha = alpha.ok_or("serve needs --alpha (or --restore)".to_string())?;
-        if alpha <= 0.0 {
-            return Err("--alpha must be positive".into());
-        }
-        let mut b = rds_server::BackendConfig::new(dim, alpha);
-        if let Some(w) = window_len {
-            b.window = if time_based {
-                Window::Time(w)
-            } else {
-                Window::Sequence(w)
-            };
-        } else if time_based {
+        let dim = dim.ok_or("serve needs --dim (or --restore)")?;
+        if flags.time && flags.window.is_none() {
             return Err("--time needs --window".into());
         }
-        if let Some(s) = shards {
-            if s == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            b.shards = s;
+        let (k, eps) = (flags.k, flags.eps);
+        let mut b = flags.into_stream()?.dim(dim);
+        if let Some(k) = k {
+            b = b.k(k);
         }
-        if let Some(s) = seed {
-            b.seed = s;
+        if let Some(eps) = eps {
+            b = b.count_accuracy(eps);
         }
-        if let Some(m) = expected_len {
-            b.expected_len = m;
-        }
-        b.k = k;
-        b.eps = eps;
         b
     };
-    let mut backend = backend;
-    backend.publish_every = publish_every;
-    let mut cfg = rds_server::ServerConfig::new(backend);
-    cfg.addr = addr;
-    if let Some(t) = threads {
-        if t == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        cfg.threads = t;
-    }
-    if let Some(m) = max_body {
-        cfg.max_body_bytes = m;
-    }
-    if let Some(r) = read_timeout {
-        cfg.read_timeout_ms = r;
+    cfg.stream = match publish_every {
+        Some(n) => stream.publish_every(n),
+        None => stream,
+    };
+    if cfg.threads == 0 {
+        return Err("--threads must be at least 1".into());
     }
     if tenants {
         let budget_words =
@@ -441,7 +402,8 @@ pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> 
 ///
 /// # Errors
 ///
-/// [`CliError::Config`] when the backend configuration is rejected,
+/// [`CliError::Config`] when the stream configuration or the checkpoint
+/// is rejected,
 /// [`CliError::Runtime`] when the address cannot be bound.
 pub fn run_serve<W: std::io::Write>(
     cfg: rds_server::ServerConfig,
@@ -500,7 +462,7 @@ pub fn usage() -> String {
      \x20 --phi P            frequency threshold (heavy; default 0.1)\n\
      \x20 --window W         restrict to the last W items\n\
      \x20 --time             window is time-based (last column = timestamp)\n\
-     \x20 --seed S           PRNG seed (default 1)\n\
+     \x20 --seed S           PRNG seed (default 1; serve: 0)\n\
      \x20 --expected-len M   expected stream length (default 2^20)\n\
      \x20 --shards N         shard ingestion across N workers\n\
      \x20                    (sample/count, any window model; default 1)\n"
@@ -542,29 +504,6 @@ pub fn parse_line(line: &str, with_time: bool) -> Result<Option<(Point, u64)>, S
     Ok(Some((point, time)))
 }
 
-/// Builds the facade handle for `sample`/`count` once the stream
-/// dimension is known.
-fn build_rds(cli: &Cli, dim: usize) -> Result<Rds, RdsError> {
-    let mut b = Rds::builder()
-        .dim(dim)
-        .alpha(cli.alpha)
-        .seed(cli.seed)
-        .expected_len(cli.expected_len)
-        .window(cli.window.unwrap_or(Window::Infinite))
-        .shards(cli.shards);
-    match &cli.command {
-        Command::Sample { k } => b = b.k((*k).max(1)),
-        Command::Count { eps } => b = b.count_accuracy(*eps),
-        Command::SnapshotSave { .. } | Command::CheckpointSave { .. } => {}
-        Command::Heavy { .. }
-        | Command::SnapshotQuery { .. }
-        | Command::CheckpointRestore { .. } => {
-            unreachable!("command does not build a streaming handle")
-        }
-    }
-    b.build()
-}
-
 /// Runs the tool against a reader, writing human-readable results to a
 /// writer. Returns the number of points processed.
 ///
@@ -578,12 +517,12 @@ pub fn run<R: BufRead, W: std::io::Write>(
     out: &mut W,
 ) -> Result<u64, CliError> {
     if let Command::SnapshotQuery { path, k } = &cli.command {
-        return run_snapshot_query(path, *k, cli.seed, out);
+        return run_snapshot_query(path, *k, cli.stream.get_seed(), out);
     }
     if let Command::CheckpointRestore { path, k } = &cli.command {
         return run_checkpoint_restore(path, *k, input, out);
     }
-    let with_time = matches!(cli.window, Some(Window::Time(_)));
+    let with_time = matches!(cli.stream.get_window(), Window::Time(_));
     let mut dim: Option<usize> = None;
     let mut n = 0u64;
 
@@ -605,10 +544,17 @@ pub fn run<R: BufRead, W: std::io::Write>(
         }
         if rds.is_none() && heavy.is_none() {
             if let Command::Heavy { phi } = &cli.command {
-                heavy =
-                    Some(RobustHeavyHitters::try_new(*phi, cli.alpha).map_err(CliError::Config)?);
+                // An unset alpha is NaN, which the validation rejects.
+                let alpha = cli.stream.get_alpha().unwrap_or(f64::NAN);
+                heavy = Some(RobustHeavyHitters::try_new(*phi, alpha).map_err(CliError::Config)?);
             } else {
-                rds = Some(build_rds(cli, d).map_err(CliError::Config)?);
+                rds = Some(
+                    cli.stream
+                        .clone()
+                        .dim(d)
+                        .build()
+                        .map_err(CliError::Config)?,
+                );
             }
         }
         if let Some(r) = rds.as_mut() {
@@ -788,6 +734,7 @@ fn run_snapshot_query<W: std::io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use robust_distinct_sampling::PublishCadence;
     use std::io::Cursor;
 
     fn args(s: &str) -> Vec<String> {
@@ -798,9 +745,9 @@ mod tests {
     fn parses_sample_command() {
         let cli = parse_cli(&args("sample --alpha 0.5 --k 3 --seed 9")).expect("valid");
         assert_eq!(cli.command, Command::Sample { k: 3 });
-        assert_eq!(cli.alpha, 0.5);
-        assert_eq!(cli.seed, 9);
-        assert!(cli.window.is_none());
+        assert_eq!(cli.stream.get_alpha(), Some(0.5));
+        assert_eq!(cli.stream.get_seed(), 9);
+        assert!(cli.stream.get_window().is_infinite());
     }
 
     #[test]
@@ -808,7 +755,7 @@ mod tests {
         let cli =
             parse_cli(&args("count --alpha 1.0 --eps 0.2 --window 100 --time")).expect("valid");
         assert_eq!(cli.command, Command::Count { eps: 0.2 });
-        assert_eq!(cli.window, Some(Window::Time(100)));
+        assert_eq!(cli.stream.get_window(), Window::Time(100));
     }
 
     #[test]
@@ -971,9 +918,9 @@ mod tests {
     #[test]
     fn parses_shards_flag() {
         let cli = parse_cli(&args("count --alpha 0.5 --shards 8")).expect("valid");
-        assert_eq!(cli.shards, 8);
+        assert_eq!(cli.stream.get_shards(), 8);
         let cli = parse_cli(&args("sample --alpha 0.5")).expect("valid");
-        assert_eq!(cli.shards, 1, "default is unsharded");
+        assert_eq!(cli.stream.get_shards(), 1, "default is unsharded");
     }
 
     #[test]
@@ -1289,11 +1236,12 @@ mod tests {
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.max_body_bytes, 2048);
-        assert_eq!(cfg.backend.dim, 3);
-        assert_eq!(cfg.backend.seed, 7);
-        assert_eq!(cfg.backend.window, Window::Time(100));
-        assert_eq!(cfg.backend.publish_every, Some(50));
-        assert!(cfg.backend.restore_from.is_none());
+        let (writer, _) = cfg.stream.clone().build_split().expect("valid stream");
+        assert_eq!(writer.dim(), 3);
+        assert_eq!(cfg.stream.get_seed(), 7);
+        assert_eq!(cfg.stream.get_window(), Window::Time(100));
+        assert_eq!(cfg.stream.get_cadence(), PublishCadence::EveryN(50));
+        assert!(cfg.restore_from.is_none());
     }
 
     #[test]
@@ -1351,8 +1299,28 @@ mod tests {
         }
         // ...but the serving cadence stays configurable
         let cfg = parse_serve(&args("--restore /tmp/x.chk --publish-every 10")).expect("valid");
-        assert_eq!(cfg.backend.restore_from.as_deref(), Some("/tmp/x.chk"));
-        assert_eq!(cfg.backend.publish_every, Some(10));
+        assert_eq!(cfg.restore_from.as_deref(), Some("/tmp/x.chk"));
+        assert_eq!(cfg.stream.get_cadence(), PublishCadence::EveryN(10));
+    }
+
+    #[test]
+    fn seed_defaults_are_pinned_per_command() {
+        for cmd in [
+            "sample --alpha 0.5",
+            "count --alpha 0.5",
+            "heavy --alpha 0.5",
+            "snapshot save /tmp/s.json --alpha 0.5",
+            "snapshot query /tmp/s.json",
+            "checkpoint save /tmp/c.chk --alpha 0.5",
+        ] {
+            let cli = parse_cli(&args(cmd)).expect("valid");
+            assert_eq!(cli.stream.get_seed(), 1, "`{cmd}`");
+        }
+        // `serve` keeps 0: tenants spilled by a server started without
+        // --seed restore only under the seed they were built with.
+        let cfg = parse_serve(&args("--dim 2 --alpha 0.5")).expect("valid");
+        assert_eq!(cfg.stream.get_seed(), 0);
+        assert!(usage().contains("--seed S           PRNG seed (default 1; serve: 0)"));
     }
 
     #[test]

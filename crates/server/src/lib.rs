@@ -38,7 +38,7 @@ mod handlers;
 pub mod http;
 pub mod router;
 
-pub use config::{BackendConfig, ServerConfig, TenancyConfig};
+pub use config::{ServerConfig, TenancyConfig};
 
 use parking_lot::{AtomicArc, Mutex};
 use rds_core::RdsError;
@@ -52,8 +52,8 @@ use std::{fmt, io};
 /// Errors surfaced while standing a server up.
 #[derive(Debug)]
 pub enum ServerError {
-    /// The backend configuration was rejected by
-    /// [`Rds::builder()`](robust_distinct_sampling::Rds::builder).
+    /// The facade rejected the stream's configuration or its
+    /// checkpoint, or the tenant registry its spill directory.
     Config(RdsError),
     /// Socket or thread setup failed.
     Io(io::Error),
@@ -199,30 +199,39 @@ impl ServerHandle {
     }
 }
 
-/// Builds the backend, binds the listener, and spawns the accept and
-/// worker threads. Returns as soon as the socket is live —
-/// `GET /healthz` answers from that moment.
+/// Builds or restores the global stream, binds the listener, and
+/// spawns the accept and worker threads. Returns as soon as the socket
+/// is live — `GET /healthz` answers from that moment.
 ///
 /// # Errors
 ///
-/// [`ServerError::Config`] when `cfg.backend` is rejected by the
-/// facade builder; [`ServerError::Io`] when the bind or a thread spawn
+/// [`ServerError::Config`] when the facade rejects `cfg.stream` or the
+/// checkpoint at `cfg.restore_from`, or the registry rejects its spill
+/// directory; [`ServerError::Io`] when the bind or a thread spawn
 /// fails.
 pub fn bind(cfg: ServerConfig) -> Result<ServerHandle, ServerError> {
-    let (writer, reader) = cfg.backend.build_split().map_err(ServerError::Config)?;
+    let (writer, reader) = match &cfg.restore_from {
+        Some(path) => cfg.stream.restore_from(path),
+        None => cfg.stream.build_split(),
+    }
+    .map_err(ServerError::Config)?;
     let dim = writer.dim();
     let tenants = match &cfg.tenants {
         None => None,
         Some(tc) => {
-            // Tenants share the backend's sampler knobs; each tenant is
-            // its own single-shard stream (`shards`/`restore_from` are
-            // global-backend concerns).
-            let mut template = rds_tenant::TenantTemplate::new(cfg.backend.dim, cfg.backend.alpha);
-            template.window = cfg.backend.window;
-            template.seed = cfg.backend.seed;
-            template.expected_len = cfg.backend.expected_len;
-            template.k = cfg.backend.k;
-            template.eps = cfg.backend.eps;
+            // Tenants take the global stream's resolved configuration,
+            // so a restored server serves them with the checkpoint's;
+            // each tenant is its own single-shard stream.
+            let c = writer.cfg();
+            let template = rds_tenant::TenantTemplate {
+                dim,
+                alpha: c.alpha,
+                window: writer.window(),
+                seed: c.seed,
+                expected_len: c.expected_len,
+                k: Some(c.k),
+                eps: writer.count_accuracy(),
+            };
             let registry =
                 rds_tenant::TenantRegistry::new(template, tc.budget_words, tc.spill_dir.as_str())
                     .map_err(ServerError::Config)?;

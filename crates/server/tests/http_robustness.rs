@@ -5,14 +5,13 @@
 
 use rds_server::api_types::ErrorEnvelope;
 use rds_server::client;
-use rds_server::{bind, BackendConfig, ServerConfig};
+use rds_server::{bind, ServerConfig};
+use robust_distinct_sampling::Rds;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 
 fn start() -> (rds_server::ServerHandle, SocketAddr) {
-    let mut backend = BackendConfig::new(2, 0.5);
-    backend.seed = 42;
-    backend.publish_every = Some(1);
+    let backend = Rds::builder().dim(2).alpha(0.5).seed(42).publish_every(1);
     let mut cfg = ServerConfig::new(backend);
     cfg.threads = 2;
     cfg.max_body_bytes = 4096; // small cap so 413 is easy to hit
@@ -232,8 +231,7 @@ fn a_malformed_request_does_not_kill_the_worker_for_the_next_client() {
 
 #[test]
 fn a_deeply_nested_body_is_a_400_not_a_stack_overflow() {
-    let mut backend = BackendConfig::new(2, 0.5);
-    backend.seed = 42;
+    let backend = Rds::builder().dim(2).alpha(0.5).seed(42);
     let mut cfg = ServerConfig::new(backend);
     cfg.threads = 2;
     cfg.read_timeout_ms = 2_000;
@@ -257,10 +255,43 @@ fn a_deeply_nested_body_is_a_400_not_a_stack_overflow() {
     handle.shutdown_and_join();
 }
 
+#[test]
+fn a_type_mismatch_answer_does_not_echo_the_body() {
+    let mut cfg = ServerConfig::new(Rds::builder().dim(2).alpha(0.5).seed(42));
+    cfg.threads = 2;
+    cfg.read_timeout_ms = 2_000;
+    let limit = cfg.max_body_bytes;
+    let handle = bind(cfg).expect("bind on an ephemeral port");
+    let addr = handle.addr();
+    // `points` must be a sequence; this one is a map of ~600 KB.
+    let mut body = String::from("{\"points\": {");
+    for i in 0.. {
+        if body.len() > limit * 6 / 10 {
+            break;
+        }
+        body.push_str(&format!("\"p{i}\": [{i}.5, 2.0], "));
+    }
+    body.push_str("\"last\": []}}");
+    let (status, answer) =
+        client::request_once(addr, "POST", "/ingest", Some(&body)).expect("answered");
+    let head = &answer[..answer.len().min(300)];
+    assert_eq!(status, 400, "{head}");
+    assert_eq!(code_of(&answer), "bad_json", "{head}");
+    assert!(
+        answer.contains("points"),
+        "the answer names the field: {head}"
+    );
+    assert!(
+        answer.len() < 1024,
+        "a {}-byte body drew a {}-byte answer: {head}",
+        body.len(),
+        answer.len()
+    );
+    handle.shutdown_and_join();
+}
+
 fn start_with_tenants(tag: &str) -> (rds_server::ServerHandle, SocketAddr) {
-    let mut backend = BackendConfig::new(2, 0.5);
-    backend.seed = 42;
-    backend.publish_every = Some(1);
+    let backend = Rds::builder().dim(2).alpha(0.5).seed(42).publish_every(1);
     let mut cfg = ServerConfig::new(backend);
     cfg.threads = 2;
     cfg.read_timeout_ms = 2_000;

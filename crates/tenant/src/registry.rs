@@ -65,8 +65,8 @@ pub fn validate_tenant_id(id: &str) -> Result<(), RdsError> {
 }
 
 /// The per-tenant sampler configuration every tenant of a registry
-/// shares — the multi-tenant analogue of the server's backend config.
-/// Each tenant's sampler is seeded with `seed ^ fnv1a64(id)`, so
+/// shares; `rds-server` fills it from its global stream's resolved
+/// configuration. Each tenant's sampler is seeded with `seed ^ fnv1a64(id)`, so
 /// tenants are mutually independent yet individually deterministic:
 /// re-creating a tenant from scratch replays the same draws.
 #[derive(Clone, Debug)]

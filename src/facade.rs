@@ -778,6 +778,19 @@ impl RdsWriter {
         self.backend.config().dim
     }
 
+    /// The resolved sampler configuration: `alpha`, seed, expected
+    /// length, `k` and `kappa_0` after defaulting, or as the checkpoint
+    /// echoed them after a restore.
+    pub fn cfg(&self) -> &SamplerConfig {
+        self.backend.config()
+    }
+
+    /// The `count_accuracy` target `eps` the pair was built or restored
+    /// with, if any.
+    pub fn count_accuracy(&self) -> Option<f64> {
+        self.eps
+    }
+
     /// The backend's in-memory footprint in machine words — the paper's
     /// space-accounting unit ([`DistinctSampler::words`]), and the
     /// metering hook the multi-tenant registry charges its global budget
@@ -1016,6 +1029,34 @@ impl RdsBuilder {
         self.publish_cadence(PublishCadence::EveryN(n))
     }
 
+    /// The `alpha` set, if any.
+    pub fn get_alpha(&self) -> Option<f64> {
+        self.alpha
+    }
+
+    /// The window the pair is built with ([`Window::Infinite`] unless
+    /// set).
+    pub fn get_window(&self) -> Window {
+        self.window.unwrap_or(Window::Infinite)
+    }
+
+    /// The shard count the pair is built with (1 unless set).
+    pub fn get_shards(&self) -> usize {
+        self.shards.unwrap_or(1)
+    }
+
+    /// The seed the pair is built with (the library default unless set).
+    pub fn get_seed(&self) -> u64 {
+        self.seed.unwrap_or(DEFAULT_SEED)
+    }
+
+    /// The publication cadence of the split pair ([`PublishCadence::EveryN`]
+    /// with [`DEFAULT_PUBLISH_EVERY`] unless set).
+    pub fn get_cadence(&self) -> PublishCadence {
+        self.cadence
+            .unwrap_or(PublishCadence::EveryN(DEFAULT_PUBLISH_EVERY))
+    }
+
     /// Validates every parameter, assembles the backend and splits it
     /// into the ingestion and serving handles. The pair starts with an
     /// empty epoch-0 snapshot, so readers are usable (if empty-handed)
@@ -1028,10 +1069,10 @@ impl RdsBuilder {
     pub fn build_split(self) -> Result<(RdsWriter, RdsReader), RdsError> {
         let dim = self.dim.unwrap_or(0); // 0 is rejected by validation below
         let alpha = self.alpha.unwrap_or(f64::NAN); // NaN likewise
-        let window = self.window.unwrap_or(Window::Infinite);
-        let shards = self.shards.unwrap_or(1);
+        let window = self.get_window();
+        let shards = self.get_shards();
         let mut b = SamplerConfig::builder(dim, alpha)
-            .seed(self.seed.unwrap_or(DEFAULT_SEED))
+            .seed(self.get_seed())
             .expected_len(self.expected_len.unwrap_or(DEFAULT_EXPECTED_LEN))
             .k(self.k.unwrap_or(1));
         if let Some(kappa0) = self.kappa0 {
@@ -1056,14 +1097,8 @@ impl RdsBuilder {
             shards,
             self.eps,
             (0, Stamp::at(0), 0),
-            self.resolved_cadence(),
+            self.get_cadence(),
         ))
-    }
-
-    /// The cadence in force after defaulting.
-    fn resolved_cadence(&self) -> PublishCadence {
-        self.cadence
-            .unwrap_or(PublishCadence::EveryN(DEFAULT_PUBLISH_EVERY))
     }
 
     /// Assembles the engine of the window's sampler family.
@@ -1164,7 +1199,7 @@ impl RdsBuilder {
             chk.shards,
             chk.eps,
             (chk.fed, chk.last_stamp, epoch),
-            self.resolved_cadence(),
+            self.get_cadence(),
         ))
     }
 

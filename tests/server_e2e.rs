@@ -8,8 +8,8 @@
 use rds_geometry::Point;
 use rds_server::api_types::{F0Response, IngestResponse, QueryResponse};
 use rds_server::client::{self, Conn};
-use rds_server::{bind, BackendConfig, ServerConfig};
-use robust_distinct_sampling::Rds;
+use rds_server::{bind, ServerConfig};
+use robust_distinct_sampling::{PublishCadence, Rds, RdsBuilder};
 
 const DIM: usize = 2;
 const ALPHA: f64 = 0.5;
@@ -31,16 +31,18 @@ fn stream() -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn backend() -> BackendConfig {
-    let mut b = BackendConfig::new(DIM, ALPHA);
-    b.seed = SEED;
-    b.expected_len = N_POINTS;
-    b.publish_every = Some(PUBLISH_EVERY);
-    b
+fn backend() -> RdsBuilder {
+    Rds::builder()
+        .dim(DIM)
+        .alpha(ALPHA)
+        .seed(SEED)
+        .expected_len(N_POINTS)
+        .publish_every(PUBLISH_EVERY)
 }
 
-fn start(backend: BackendConfig) -> rds_server::ServerHandle {
-    let mut cfg = ServerConfig::new(backend);
+fn start(stream: RdsBuilder, restore_from: Option<String>) -> rds_server::ServerHandle {
+    let mut cfg = ServerConfig::new(stream);
+    cfg.restore_from = restore_from;
     cfg.threads = 4;
     bind(cfg).expect("bind server")
 }
@@ -110,7 +112,7 @@ fn served_query(addr: std::net::SocketAddr) -> QueryResponse {
 
 #[test]
 fn over_the_wire_results_are_bit_identical_to_in_process() {
-    let handle = start(backend());
+    let handle = start(backend(), None);
     let addr = handle.addr();
     let mut conn = Conn::connect(addr).expect("connect");
     ingest_all(&mut conn);
@@ -148,9 +150,7 @@ fn over_the_wire_results_are_bit_identical_to_in_process() {
 
 #[test]
 fn concurrent_readers_see_only_epoch_monotone_snapshots() {
-    let mut b = backend();
-    b.publish_every = Some(16);
-    let handle = start(b);
+    let handle = start(backend().publish_every(16), None);
     let addr = handle.addr();
 
     let stop = std::sync::atomic::AtomicBool::new(false);
@@ -212,10 +212,8 @@ fn concurrent_global_writes_stay_serialized() {
     const B: usize = 20;
     let points = stream();
     let per_writer = points.len() / WRITERS;
-    let mut b = backend();
-    b.publish_every = Some(B as u64);
-    b.eps = Some(0.1);
-    let handle = start(b);
+    let b = backend().publish_every(B as u64).count_accuracy(0.1);
+    let handle = start(b, None);
     let addr = handle.addr();
 
     // each writer sends its own quarter of the stream, B points a batch,
@@ -261,7 +259,7 @@ fn checkpoint_over_http_restores_into_an_identical_server() {
     let chk_str = chk.to_str().expect("utf-8 temp path").to_string();
 
     // server A: ingest, checkpoint over HTTP, record its answers
-    let a = start(backend());
+    let a = start(backend(), None);
     let addr_a = a.addr();
     let mut conn = Conn::connect(addr_a).expect("connect");
     ingest_all(&mut conn);
@@ -279,10 +277,10 @@ fn checkpoint_over_http_restores_into_an_identical_server() {
     a.shutdown_and_join();
 
     // server B: boots from the container, must answer identically
-    let mut backend_b = BackendConfig::new(DIM, ALPHA);
-    backend_b.restore_from = Some(chk_str.clone());
-    backend_b.publish_every = Some(PUBLISH_EVERY);
-    let b = start(backend_b);
+    let b = start(
+        Rds::builder().publish_every(PUBLISH_EVERY),
+        Some(chk_str.clone()),
+    );
     let addr_b = b.addr();
     let f0_b = served_f0(addr_b);
     let q_b = served_query(addr_b);
@@ -300,7 +298,7 @@ fn checkpoint_over_http_restores_into_an_identical_server() {
     b.shutdown_and_join();
 
     // server C: starts empty, restores over live HTTP, same answers
-    let c = start(backend());
+    let c = start(backend(), None);
     let addr_c = c.addr();
     let (status, body) = client::request_once(
         addr_c,
@@ -330,7 +328,7 @@ fn shutdown_with_checkpoint_persists_final_state() {
     let chk = dir.join("final.chk");
     let chk_str = chk.to_str().expect("utf-8 temp path").to_string();
 
-    let a = start(backend());
+    let a = start(backend(), None);
     let addr = a.addr();
     let mut conn = Conn::connect(addr).expect("connect");
     ingest_all(&mut conn);
@@ -346,13 +344,33 @@ fn shutdown_with_checkpoint_persists_final_state() {
     drop(conn);
     a.join();
 
-    let mut backend_b = BackendConfig::new(DIM, ALPHA);
-    backend_b.restore_from = Some(chk_str);
-    let b = start(backend_b);
+    let b = start(Rds::builder(), Some(chk_str));
     let f0_after = served_f0(b.addr());
     assert_eq!(f0_before.f0.to_bits(), f0_after.f0.to_bits());
     assert_eq!(f0_before.seen, f0_after.seen);
     b.shutdown_and_join();
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_batch_cadence_publishes_once_per_non_empty_ingest() {
+    let handle = start(backend().publish_cadence(PublishCadence::EveryBatch), None);
+    let addr = handle.addr();
+    let mut conn = Conn::connect(addr).expect("connect");
+    let empty = ingest_batch(&mut conn, &[]);
+    assert_eq!((empty.ingested, empty.epoch), (0, 0), "nothing to publish");
+    for (i, batch) in stream().chunks(BATCH).enumerate() {
+        let ack = ingest_batch(&mut conn, batch);
+        assert_eq!(ack.epoch, i as u64 + 1, "batch {i} publishes exactly once");
+        assert_eq!(
+            served_f0(addr).seen,
+            ack.seen,
+            "the batch {i} snapshot is served"
+        );
+        let again = ingest_batch(&mut conn, &[]);
+        assert_eq!(again.epoch, ack.epoch, "an empty batch publishes nothing");
+    }
+    drop(conn);
+    handle.shutdown_and_join();
 }

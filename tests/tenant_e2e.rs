@@ -9,8 +9,9 @@
 use rds_geometry::Point;
 use rds_server::api_types::{F0Response, QueryResponse, TenantHealthResponse};
 use rds_server::client::{self, Conn};
-use rds_server::{bind, BackendConfig, ServerConfig, TenancyConfig};
+use rds_server::{bind, ServerConfig, TenancyConfig};
 use rds_tenant::{TenantRegistry, TenantTemplate};
+use robust_distinct_sampling::{Rds, RdsBuilder};
 
 const DIM: usize = 2;
 const ALPHA: f64 = 0.5;
@@ -48,24 +49,22 @@ fn batch(t: usize, r: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn backend() -> BackendConfig {
-    let mut b = BackendConfig::new(DIM, ALPHA);
-    b.seed = SEED;
-    b.expected_len = EXPECTED_LEN;
-    b.publish_every = Some(1);
-    b
+fn backend() -> RdsBuilder {
+    Rds::builder()
+        .dim(DIM)
+        .alpha(ALPHA)
+        .seed(SEED)
+        .expected_len(EXPECTED_LEN)
+        .publish_every(1)
 }
 
-/// The template `bind` derives from [`backend`] for its registry; the
-/// in-process control must be built from the very same knobs.
+/// The template `bind` derives from [`backend`]'s stream for its
+/// registry; the in-process control must be built from the very same
+/// knobs.
 fn template() -> TenantTemplate {
-    let b = backend();
-    let mut t = TenantTemplate::new(b.dim, b.alpha);
-    t.window = b.window;
-    t.seed = b.seed;
-    t.expected_len = b.expected_len;
-    t.k = b.k;
-    t.eps = b.eps;
+    let mut t = TenantTemplate::new(DIM, ALPHA);
+    t.seed = SEED;
+    t.expected_len = EXPECTED_LEN;
     t
 }
 
