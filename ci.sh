@@ -79,7 +79,11 @@ perf_gate count 0 ingest_pts_per_s ">=" 1300000
 # Per-layer ceilings. A store probe that walks the candidate chain
 # costs ~2,200 ns (indexed: 85-130 ns) yet passes both floors above;
 # a linear merge costs 2.9-3.4 ms (indexed, from empty: 0.35-0.53 ms).
-perf_gate count 1 core.probe_ns "<=" 600 core.merge_many_ns "<=" 1200000
+# A summary_cow that clones every record of count's 1,200-group sampler
+# into new vectors costs 29-44 us; one that rewrites the summary from
+# two calls back in place costs 4.4-7.8 us (fifteen traced runs).
+perf_gate count 1 core.probe_ns "<=" 600 core.merge_many_ns "<=" 1200000 \
+    core.summary_cow_ns "<=" 24000
 # The server and the tenant layer: every response parses and matches
 # an in-process replay bit for bit, the server drains on shutdown,
 # resident words stay within budget after every operation, and evicted

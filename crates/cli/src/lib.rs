@@ -131,7 +131,8 @@ struct StreamFlags {
     /// `--window`: its kind is known once `--time` may have followed.
     window: Option<u64>,
     time: bool,
-    /// `--k` and `--eps`, which each command applies in its own way.
+    /// `--k` and `--eps`, applied by `into_stream` when given (`sample`
+    /// and `count` add their defaults).
     k: Option<usize>,
     eps: Option<f64>,
     /// Every stream flag given: a command whose file configures the
@@ -189,10 +190,13 @@ impl StreamFlags {
     }
 
     /// The stream of a command its flags configure: `--alpha` is
-    /// required and positive, `--shards` at least 1, and `--window W`
-    /// keeps the last `W` items, or `W` time units with `--time`.
-    /// Parameter values the parser cannot judge (a NaN `--alpha`) are
-    /// left to the facade's validation.
+    /// required and positive, `--shards` at least 1, `--window W` keeps
+    /// the last `W` items, or `W` time units with `--time` (which needs
+    /// `--window`), and `--k` and `--eps`, when given, set the number of
+    /// distinct samples and the F0 accuracy. Every command that ingests a
+    /// stream, `serve` included, configures it here. Parameter values the
+    /// parser cannot judge (a NaN `--alpha`) are left to the facade's
+    /// validation.
     fn into_stream(self) -> Result<RdsBuilder, String> {
         let alpha = self.stream.get_alpha().ok_or("--alpha is required")?;
         if alpha <= 0.0 {
@@ -201,11 +205,28 @@ impl StreamFlags {
         if self.stream.get_shards() == 0 {
             return Err("--shards must be at least 1".into());
         }
-        Ok(match self.window {
+        let mut stream = match self.window {
             Some(w) if self.time => self.stream.window(Window::Time(w)),
             Some(w) => self.stream.window(Window::Sequence(w)),
+            None if self.time => return Err("--time needs --window".into()),
             None => self.stream,
-        })
+        };
+        if let Some(k) = self.k {
+            stream = stream.k(k);
+        }
+        if let Some(eps) = self.eps {
+            stream = stream.count_accuracy(checked_eps(eps)?);
+        }
+        Ok(stream)
+    }
+}
+
+/// `eps` when it is a valid `--eps`: in `(0, 1]`.
+fn checked_eps(eps: f64) -> Result<f64, String> {
+    if eps > 0.0 && eps <= 1.0 {
+        Ok(eps)
+    } else {
+        Err("--eps must be in (0, 1]".into())
     }
 }
 
@@ -261,13 +282,9 @@ pub fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let k = flags.k.unwrap_or(1);
     let command = match cmd.as_str() {
         "sample" => Command::Sample { k },
-        "count" => {
-            let eps = flags.eps.unwrap_or(0.3);
-            if !(eps > 0.0 && eps <= 1.0) {
-                return Err("--eps must be in (0, 1]".into());
-            }
-            Command::Count { eps }
-        }
+        "count" => Command::Count {
+            eps: checked_eps(flags.eps.unwrap_or(0.3))?,
+        },
         "heavy" => Command::Heavy { phi },
         "snapshot" => match file_action.expect("set above for snapshot") {
             (action, path) if action == "save" => Command::SnapshotSave { path },
@@ -357,18 +374,7 @@ pub fn parse_serve(args: &[String]) -> Result<rds_server::ServerConfig, String> 
         Rds::builder()
     } else {
         let dim = dim.ok_or("serve needs --dim (or --restore)")?;
-        if flags.time && flags.window.is_none() {
-            return Err("--time needs --window".into());
-        }
-        let (k, eps) = (flags.k, flags.eps);
-        let mut b = flags.into_stream()?.dim(dim);
-        if let Some(k) = k {
-            b = b.k(k);
-        }
-        if let Some(eps) = eps {
-            b = b.count_accuracy(eps);
-        }
-        b
+        flags.into_stream()?.dim(dim)
     };
     cfg.stream = match publish_every {
         Some(n) => stream.publish_every(n),
@@ -456,9 +462,11 @@ pub fn usage() -> String {
      \x20                       Runs until POST /admin/shutdown.\n\
      options:\n\
      \x20 --alpha A          near-duplicate distance threshold (required)\n\
-     \x20 --k N              number of distinct samples (sample; default 1)\n\
-     \x20 --eps E            accuracy target (count; default 0.3; one\n\
-     \x20                    threshold-tuned estimate, sharded or not)\n\
+     \x20 --k N              number of distinct samples (sample default 1;\n\
+     \x20                    also kept by the save commands and serve)\n\
+     \x20 --eps E            accuracy target (count default 0.3; one\n\
+     \x20                    threshold-tuned estimate, sharded or not;\n\
+     \x20                    also kept by the save commands and serve)\n\
      \x20 --phi P            frequency threshold (heavy; default 0.1)\n\
      \x20 --window W         restrict to the last W items\n\
      \x20 --time             window is time-based (last column = timestamp)\n\
@@ -913,6 +921,64 @@ mod tests {
     fn rejects_heavy_with_window_at_parse_time() {
         let err = parse_cli(&args("heavy --alpha 0.5 --window 5")).expect_err("invalid");
         assert!(err.contains("--window"), "error: {err}");
+    }
+
+    #[test]
+    fn time_without_window_is_refused_by_every_stream_command() {
+        // Without the refusal the stamp column was read as a coordinate.
+        for cmd in [
+            "count --alpha 0.5 --time",
+            "sample --alpha 0.5 --time",
+            "heavy --alpha 0.5 --time",
+            "snapshot save /tmp/s.json --alpha 0.5 --time",
+            "checkpoint save /tmp/c.chk --alpha 0.5 --time",
+        ] {
+            let err = parse_cli(&args(cmd)).expect_err("invalid");
+            assert!(err.contains("--time needs --window"), "`{cmd}`: {err}");
+        }
+        assert!(parse_cli(&args("count --alpha 0.5 --window 3 --time")).is_ok());
+    }
+
+    #[test]
+    fn save_commands_honour_eps_and_k() {
+        let dir = std::env::temp_dir().join(format!("rds-cli-eps-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        // 200 distinct entities: the default threshold subsamples them,
+        // the count regime of --eps 0.1 keeps every one.
+        let input: String = (0..200).map(|i| format!("{}.0, 1.0\n", i * 10)).collect();
+        for (cmd, file) in [("checkpoint save", "c.chk"), ("snapshot save", "s.json")] {
+            let path = dir.join(file);
+            let path = path.to_str().expect("utf8 path");
+            let cli = parse_cli(&args(&format!("{cmd} {path} --alpha 0.5 --eps 0.1 --k 3")))
+                .expect("valid");
+            let mut out = Vec::new();
+            run(&cli, Cursor::new(input.clone()), &mut out).expect("saves");
+            // Both config echoes carry `k`; a checkpoint's also carries
+            // `eps` (a snapshot keeps only the sampler configuration).
+            let saved = std::fs::read_to_string(path).expect("saved file");
+            assert!(
+                saved.contains("\"k\":3"),
+                "`{cmd}`: no k in the config echo"
+            );
+            if cmd == "checkpoint save" {
+                assert!(saved.contains("\"eps\":0.1"), "`{cmd}`: eps not saved");
+                let text = String::from_utf8(out).expect("utf8");
+                assert!(text.contains("f0 200.0"), "`{cmd}` output: {text}");
+            }
+        }
+        let restore = format!("checkpoint restore {}", dir.join("c.chk").display());
+        let cli = parse_cli(&args(&restore)).expect("valid");
+        let mut out = Vec::new();
+        run(&cli, Cursor::new(""), &mut out).expect("restores");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.contains("f0 200.0"), "restored estimate: {text}");
+        let query = format!("snapshot query {} --k 1000", dir.join("s.json").display());
+        let cli = parse_cli(&args(&query)).expect("valid");
+        let mut out = Vec::new();
+        run(&cli, Cursor::new(""), &mut out).expect("queries");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.contains("f0 200.0"), "snapshot estimate: {text}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -38,7 +38,10 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rds_geometry::Point;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::iter::{Peekable, Zip};
 use std::sync::Arc;
+use std::vec::IntoIter;
 
 /// A sampler's summary, or the coordinator-side merge of several:
 /// queryable, serializable, and mergeable with other summaries of the
@@ -47,9 +50,14 @@ use std::sync::Arc;
 /// publication can share ("copy-on-write") the sets of an unchanged
 /// sampler across epochs instead of deep-copying them; `Arc` serializes
 /// transparently, so the JSON shape is the same as a plain `Vec`. A
-/// rebuilt set copies each record's count and hash but shares its points
-/// with the sampler (a [`Point`] clone is a reference-count bump), so no
-/// coordinate is ever copied on publication, merge or query.
+/// record's points share their coordinates with the sampler's (a
+/// [`Point`] clone is a reference-count bump), so no coordinate is ever
+/// copied on publication, merge or query. A publisher that republishes
+/// (a sampler's [`DistinctSampler::summary_cow`](crate::DistinctSampler::summary_cow),
+/// a kept [`MergePlan`]) writes each new summary over the record
+/// vectors of one it published two epochs before, once nobody else
+/// holds it, so a publish writes the reference counts of the changed
+/// records only.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MergedSummary {
     cfg: SamplerConfig,
@@ -146,6 +154,47 @@ impl MergedSummary {
     /// The shared configuration the summary was built under.
     pub fn cfg(&self) -> &SamplerConfig {
         &self.cfg
+    }
+}
+
+/// The last two summaries a publisher handed out, kept so that it can
+/// write the next one over the record vectors of one that nobody else
+/// holds any more, instead of cloning every record into new vectors and
+/// freeing the old ones. Readers let go of a summary soon after the next
+/// one is published, so the one two publishes back is normally free.
+/// Each kept summary carries what its publisher needs to reuse it (`M`).
+#[derive(Debug, Default)]
+pub(crate) struct Recycler<M = ()> {
+    kept: VecDeque<(MergedSummary, M)>,
+}
+
+/// A kept summary taken for rewriting: its accept set, its reject set,
+/// and what its publisher kept with it.
+pub(crate) type Recycled<M> = (Vec<GroupRecord>, Vec<GroupRecord>, M);
+
+impl<M> Recycler<M> {
+    /// The newest summary kept.
+    pub(crate) fn newest(&self) -> Option<&MergedSummary> {
+        self.kept.back().map(|(summary, _)| summary)
+    }
+
+    /// Takes the newest kept summary whose record vectors nobody else
+    /// holds: its accept set, reject set and `M`.
+    pub(crate) fn take(&mut self) -> Option<Recycled<M>> {
+        let i = self.kept.iter_mut().rposition(|(summary, _)| {
+            Arc::get_mut(&mut summary.acc).is_some() && Arc::get_mut(&mut summary.rej).is_some()
+        })?;
+        let (summary, meta) = self.kept.remove(i)?;
+        let owned = |set| Arc::try_unwrap(set).unwrap_or_default();
+        Some((owned(summary.acc), owned(summary.rej), meta))
+    }
+
+    /// Keeps `summary`, just handed out, and the one before it.
+    pub(crate) fn keep(&mut self, summary: MergedSummary, meta: M) {
+        if self.kept.len() == 2 {
+            self.kept.pop_front();
+        }
+        self.kept.push_back((summary, meta));
     }
 }
 
@@ -248,7 +297,10 @@ fn partial_shuffle(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
 /// reservoirs. So a plan keeps each record's placement and a
 /// near-duplicate index over every absorbed representative, and writes
 /// the output by one walk over the current summaries, adding the folded
-/// counts.
+/// counts. It writes over the records of the output it returned two
+/// merges before, once nobody else holds it: a record
+/// at the same position keeps its points, so only a new record or a
+/// changed reservoir member costs reference counts.
 ///
 /// A summary of Algorithm 1 only appends to its sets while its level
 /// stays put. When every summary is such an extension of what the plan
@@ -267,12 +319,16 @@ fn partial_shuffle(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
 /// check every incremental merge against one from empty.
 ///
 /// The plan holds about 60 bytes per absorbed record (placement,
-/// position, index entry); it is not part of any sampler's
+/// position, index entry) and its last two outputs with their records'
+/// positions; none of it is part of any sampler's
 /// [`DistinctSampler::words`](crate::DistinctSampler::words).
 #[derive(Debug, Default)]
 pub struct MergePlan {
     absorbed: Option<Absorbed>,
     counts: MergeCounts,
+    /// The last outputs, with the position of each of their accept and
+    /// reject records.
+    outputs: Recycler<[Vec<Pos>; 2]>,
 }
 
 impl MergePlan {
@@ -330,11 +386,14 @@ impl MergePlan {
                 a
             }
         };
-        let merged = absorbed.emit(&summaries);
+        let recycled = self.outputs.take();
+        let rewritten = recycled.is_some();
+        let (merged, positions) = absorbed.emit(&summaries, recycled);
         self.absorbed = Some(absorbed);
+        self.outputs.keep(merged.clone(), positions);
         debug_assert!(
-            !incremental || same_as_from_empty(&merged, summaries),
-            "an incremental merge diverged from the merge from empty"
+            !(incremental || rewritten) || same_as_from_empty(&merged, summaries),
+            "an incremental or rewritten merge diverged from the merge from empty"
         );
         Ok(Some(merged))
     }
@@ -713,11 +772,17 @@ impl Absorbed {
     }
 
     /// The merged summary: every emitted record of `summaries` in merge
-    /// order, with the counts folded into it, in one walk. A folded
-    /// record comes after its host, so it adds its count to the host's
-    /// output record; a promoted reject host comes before its promoter
-    /// and gathers the counts folded into it until then.
-    fn emit(&self, summaries: &[MergedSummary]) -> MergedSummary {
+    /// order, with the counts folded into it, in one walk, written over
+    /// `recycled` (an earlier output's sets and record positions) when
+    /// there is one; also returns the position of each output record. A
+    /// folded record comes after its host, so it adds its count to the
+    /// host's output record; a promoted reject host comes before its
+    /// promoter and gathers the counts folded into it until then.
+    fn emit(
+        &self,
+        summaries: &[MergedSummary],
+        recycled: Option<Recycled<[Vec<Pos>; 2]>>,
+    ) -> (MergedSummary, [Vec<Pos>; 2]) {
         // Where each set starts in merge order, and how many records
         // each output set receives.
         let mut starts = Vec::with_capacity(2 * self.shards.len());
@@ -739,31 +804,38 @@ impl Absorbed {
         // Per record in merge order: an emitted host's index in its
         // output set, or the counts folded so far into a promoted host.
         let mut scratch = vec![0u64; records];
-        let (mut acc, mut rej) = (Vec::with_capacity(n_acc), Vec::with_capacity(n_rej));
+        let (old_acc, old_rej, [acc_at, rej_at]) = recycled.unwrap_or_default();
+        let mut acc = SetWriter::new(old_acc, acc_at, n_acc);
+        let mut rej = SetWriter::new(old_rej, rej_at, n_rej);
         let mut at = 0;
-        for (plan, summary) in self.shards.iter().zip(summaries) {
-            for (set, records) in [(&plan.acc, &summary.acc), (&plan.rej, &summary.rej)] {
-                for (&place, rec) in set.places.iter().zip(records.iter()) {
+        for (shard, (plan, summary)) in self.shards.iter().zip(summaries).enumerate() {
+            for (in_rej, set, records) in [
+                (false, &plan.acc, &summary.acc),
+                (true, &plan.rej, &summary.rej),
+            ] {
+                for (index, (&place, rec)) in set.places.iter().zip(records.iter()).enumerate() {
                     match place {
                         Place::Acc | Place::Promoter(_) | Place::Rej => {
-                            let mut out = rec.clone();
-                            if let Place::Promoter(host) = place {
-                                out.count += record(summaries, host).count + scratch[flat(host)];
-                            }
-                            let set = if place == Place::Rej {
+                            let out = if place == Place::Rej {
                                 &mut rej
                             } else {
                                 &mut acc
                             };
-                            scratch[at] = set.len() as u64;
-                            set.push(out);
+                            let i = out.push(Pos::new(shard, in_rej, index), rec);
+                            if let Place::Promoter(host) = place {
+                                out.add_count(
+                                    i,
+                                    record(summaries, host).count + scratch[flat(host)],
+                                );
+                            }
+                            scratch[at] = i as u64;
                         }
                         Place::Fold(host) => {
                             let gathered = &mut scratch[flat(host)];
                             match self.place(host) {
                                 Place::PromotedBy(_) => *gathered += rec.count,
-                                Place::Rej => rej[*gathered as usize].count += rec.count,
-                                _ => acc[*gathered as usize].count += rec.count,
+                                Place::Rej => rej.add_count(*gathered as usize, rec.count),
+                                _ => acc.add_count(*gathered as usize, rec.count),
                             }
                         }
                         Place::PromotedBy(_) | Place::Drop => {}
@@ -772,7 +844,85 @@ impl Absorbed {
                 }
             }
         }
-        MergedSummary::from_parts(self.cfg.clone(), self.level, acc, rej)
+        let ((acc, acc_at), (rej, rej_at)) = (acc.finish(), rej.finish());
+        let merged = MergedSummary::from_parts(self.cfg.clone(), self.level, acc, rej);
+        (merged, [acc_at, rej_at])
+    }
+}
+
+/// One output set of [`Absorbed::emit`], written over an earlier output's
+/// set: in place while every record lands where it was (the same merge
+/// position at the same index), then by moving the earlier records that
+/// stay emitted past the new ones. A reused record keeps the points it
+/// shares with its source; the others are cloned.
+struct SetWriter {
+    /// The records written so far, followed (until `rest` is split off)
+    /// by the earlier output's records not yet reached.
+    records: Vec<GroupRecord>,
+    /// The merge position of each record of `records`.
+    positions: Vec<Pos>,
+    /// How many records are written.
+    written: usize,
+    /// The earlier output's remaining records with their positions, once
+    /// a record did not land where it was.
+    rest: Option<Peekable<Zip<IntoIter<Pos>, IntoIter<GroupRecord>>>>,
+}
+
+impl SetWriter {
+    /// A writer over `records` at `positions`, for `n` records.
+    fn new(mut records: Vec<GroupRecord>, mut positions: Vec<Pos>, n: usize) -> Self {
+        records.reserve(n.saturating_sub(records.len()));
+        positions.reserve(n.saturating_sub(positions.len()));
+        Self {
+            records,
+            positions,
+            written: 0,
+            rest: None,
+        }
+    }
+
+    /// Writes `rec`, from merge position `p`, as the next record and
+    /// returns its index.
+    fn push(&mut self, p: Pos, rec: &GroupRecord) -> usize {
+        let i = self.written;
+        self.written += 1;
+        if self.rest.is_none() {
+            if self.positions.get(i) == Some(&p) && i < self.records.len() {
+                self.records[i].clone_from(rec);
+                return i;
+            }
+            let positions = self.positions.split_off(i);
+            let records = self.records.split_off(i);
+            self.rest = Some(positions.into_iter().zip(records).peekable());
+        }
+        let reused = self.rest.as_mut().and_then(|rest| {
+            // Earlier records placed before `p` are no longer emitted.
+            while rest.next_if(|(q, _)| *q < p).is_some() {}
+            rest.next_if(|(q, _)| *q == p)
+        });
+        let out = match reused {
+            Some((_, mut old)) => {
+                old.clone_from(rec);
+                old
+            }
+            None => rec.clone(),
+        };
+        self.records.push(out);
+        self.positions.push(p);
+        i
+    }
+
+    /// Adds `count` to the count of record `i`.
+    fn add_count(&mut self, i: usize, count: u64) {
+        self.records[i].count += count;
+    }
+
+    /// The written records and their positions; earlier records not
+    /// reached are dropped.
+    fn finish(mut self) -> (Vec<GroupRecord>, Vec<Pos>) {
+        self.records.truncate(self.written);
+        self.positions.truncate(self.written);
+        (self.records, self.positions)
     }
 }
 
@@ -966,6 +1116,49 @@ mod tests {
         // asking for more than |Sacc| returns everything once
         let n_acc = merged.accept_set().len();
         assert_eq!(merged.query_k(usize::MAX, 2).len(), n_acc);
+    }
+
+    /// Publishes as the sharded engine makes them (each site's
+    /// `summary_cow`, merged through one kept plan), separated by batches
+    /// of duplicates only: every count moves, yet the third publish
+    /// writes its records into the very vectors of the first, which was
+    /// let go of, and keeps their points.
+    #[test]
+    fn publishes_after_duplicates_rewrite_the_records_in_place() {
+        let cfg = cfg(9, 4096);
+        let (mut a, mut b) = (site(&cfg), site(&cfg));
+        let mut plan = MergePlan::default();
+        let mut publish = |round: u64| {
+            for i in 0..60u64 {
+                let p = Point::new(vec![i as f64 * 10.0 + 0.01 * round as f64]);
+                if i < 40 {
+                    a.process(&p);
+                }
+                b.process(&p);
+            }
+            let shards = vec![a.summary_cow(), b.summary_cow()];
+            let merged = plan.merge(shards.clone()).expect("same cfg");
+            (shards, merged.expect("two sites"))
+        };
+        let buffers = |summaries: &[&MergedSummary]| -> Vec<*const GroupRecord> {
+            summaries.iter().map(|s| s.accept_set().as_ptr()).collect()
+        };
+        let (shards, merged) = publish(0);
+        let first = buffers(&[&shards[0], &shards[1], &merged]);
+        let old_reps: Vec<Point> = merged.accept_set().iter().map(|r| r.rep.clone()).collect();
+        let old_counts: Vec<u64> = merged.accept_set().iter().map(|r| r.count).collect();
+        // The second publish is held (a reader would hold the newest), the
+        // first let go of before the third.
+        let second = publish(1);
+        assert_ne!(buffers(&[&second.0[0], &second.0[1], &second.1]), first);
+        drop((shards, merged));
+        let (shards, merged) = publish(2);
+        assert_eq!(buffers(&[&shards[0], &shards[1], &merged]), first);
+        assert_eq!(merged.accept_set().len(), old_reps.len(), "a new group");
+        for ((rec, rep), count) in merged.accept_set().iter().zip(&old_reps).zip(&old_counts) {
+            assert!(rec.rep.shares_coords(rep), "representative copied");
+            assert!(rec.count > *count, "record not republished");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::checkpoint::{check_dims, check_level, Checkpointable, RngState};
 use crate::config::{SamplerConfig, SamplerContext, MAX_LEVEL};
-use crate::distributed::MergedSummary;
+use crate::distributed::{MergedSummary, Recycler};
 use crate::error::RdsError;
 use crate::sampler::DistinctSampler;
 use crate::store::CandidateStore;
@@ -40,7 +40,7 @@ use rds_stream::StreamItem;
 use serde::{Deserialize, Serialize};
 
 /// Everything the sampler stores about one candidate group.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct GroupRecord {
     /// The group's representative: its first point in the stream.
     pub rep: Point,
@@ -52,6 +52,29 @@ pub struct GroupRecord {
     /// A uniformly random member of the group (reservoir sampling, the
     /// "random point as group representative" extension of Section 2.3).
     pub reservoir: Point,
+}
+
+impl Clone for GroupRecord {
+    #[inline]
+    fn clone(&self) -> Self {
+        Self {
+            rep: self.rep.clone(),
+            cell_hash: self.cell_hash,
+            count: self.count,
+            reservoir: self.reservoir.clone(),
+        }
+    }
+
+    /// Rewrites `self` as `source`, writing a point's reference count only
+    /// where `self` does not share that point already: rewriting a record
+    /// whose group only gained duplicates writes no reference count.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.rep.clone_from(&source.rep);
+        self.cell_hash = source.cell_hash;
+        self.count = source.count;
+        self.reservoir.clone_from(&source.reservoir);
+    }
 }
 
 /// Tally of [`ProcessOutcome`]s over one [`RobustL0Sampler::process_batch`]
@@ -147,11 +170,13 @@ pub struct RobustL0Sampler {
     batch_hashes: Vec<u64>,
     rng: StdRng,
     space: SpaceMeter,
-    /// Cached copy-on-write summary, cleared whenever a candidate set
-    /// changes: an untouched sampler re-publishes its snapshot in `O(1)`
-    /// (the cached summary's sets are `Arc`-shared, so cloning it copies
-    /// no records).
-    summary_cache: Option<MergedSummary>,
+    /// The summaries [`DistinctSampler::summary_cow`] handed out last:
+    /// the newest is republished while no candidate set changed, and the
+    /// next one is written over the records of one nobody else holds.
+    published: Recycler,
+    /// Whether a candidate set changed since the newest summary in
+    /// `published`.
+    changed: bool,
 }
 
 impl RobustL0Sampler {
@@ -195,7 +220,8 @@ impl RobustL0Sampler {
             batch_hashes: Vec::new(),
             rng,
             space: SpaceMeter::new(),
-            summary_cache: None,
+            published: Recycler::default(),
+            changed: true,
         })
     }
 
@@ -274,7 +300,7 @@ impl RobustL0Sampler {
             if self.rng.word_below(count) == 0 {
                 self.store.set_reservoir(slot, p);
             }
-            self.summary_cache = None;
+            self.changed = true;
             return ProcessOutcome::Duplicate;
         }
 
@@ -286,14 +312,14 @@ impl RobustL0Sampler {
         let outcome = if self.ctx.hash_sampled(h, self.level) {
             // Line 6: the group's first point fell into a sampled cell.
             self.store.push_acc(h, p.clone());
-            self.summary_cache = None;
+            self.changed = true;
             ProcessOutcome::Accepted
         } else if self.ctx.any_adjacent_sampled(p, self.level) {
             // Line 8: some adjacent cell is sampled; remember the group as
             // rejected so later points of it are never mistaken for first
             // points.
             self.store.push_rej(h, p.clone());
-            self.summary_cache = None;
+            self.changed = true;
             ProcessOutcome::Rejected
         } else {
             ProcessOutcome::Ignored
@@ -318,7 +344,7 @@ impl RobustL0Sampler {
     fn double_rate(&mut self) {
         self.level += 1;
         self.rate_doublings += 1;
-        self.summary_cache = None;
+        self.changed = true;
         let level = self.level;
         let Self { store, ctx, .. } = self;
         store.retain_after_doubling(
@@ -545,17 +571,25 @@ impl DistinctSampler for RobustL0Sampler {
         )
     }
 
-    /// Returns the cached summary when the candidate sets are unchanged
-    /// since the last call (an `Arc`-sharing clone, no record is copied);
-    /// rebuilds and re-caches otherwise. A rebuild copies each record's
-    /// count and hash, but its points share the store's coordinates.
+    /// Returns the last summary when the candidate sets are unchanged
+    /// since the last call (an `Arc`-sharing clone, no record is copied).
+    /// Otherwise writes a new one over the record vectors of an earlier
+    /// one that nobody else holds any more, normally the one from two
+    /// calls back: a record of an unchanged group is rewritten in place
+    /// without touching its points' reference counts, so the rebuild
+    /// writes reference counts only for new records and replaced
+    /// reservoir members. Without such a summary it builds new vectors,
+    /// as [`DistinctSampler::summary`] does.
     fn summary_cow(&mut self) -> MergedSummary {
-        if let Some(cached) = &self.summary_cache {
-            return cached.clone();
+        if let (false, Some(newest)) = (self.changed, self.published.newest()) {
+            return newest.clone();
         }
-        let built = self.summary();
-        self.summary_cache = Some(built.clone());
-        built
+        let (mut acc, mut rej, ()) = self.published.take().unwrap_or_default();
+        self.store.write_sets(&mut acc, &mut rej);
+        let summary = MergedSummary::from_parts(self.ctx.cfg().clone(), self.level, acc, rej);
+        self.published.keep(summary.clone(), ());
+        self.changed = false;
+        summary
     }
 }
 

@@ -212,8 +212,11 @@ pub trait DistinctSampler {
     /// it), but implementations may cache the result and return an
     /// `Arc`-sharing summary whose candidate sets are rebuilt only when
     /// dirtied since the previous call — the publication fast path, `O(1)`
-    /// for a sampler untouched between snapshots. Default: delegates to
-    /// [`Self::summary`].
+    /// for a sampler untouched between snapshots. A rebuild may write over
+    /// the storage of an earlier summary that nobody holds any more:
+    /// Algorithm 1's samplers rewrite the record vectors of the summary
+    /// from two calls back, writing reference counts only for changed
+    /// records. Default: delegates to [`Self::summary`].
     fn summary_cow(&mut self) -> Self::Summary {
         self.summary()
     }

@@ -374,12 +374,40 @@ impl CandidateStore {
     /// the exact `Vec<GroupRecord>` the pre-SoA sampler stored, for the
     /// serde wire format and summary `Arc` sharing.
     pub fn acc_records(&self) -> Vec<GroupRecord> {
-        self.acc_slots.iter().map(|&s| self.record_at(s)).collect()
+        let mut records = Vec::new();
+        self.write_records(&self.acc_slots, &mut records);
+        records
     }
 
     /// Materializes the reject set as owned records, in insertion order.
     pub fn rej_records(&self) -> Vec<GroupRecord> {
-        self.rej_slots.iter().map(|&s| self.record_at(s)).collect()
+        let mut records = Vec::new();
+        self.write_records(&self.rej_slots, &mut records);
+        records
+    }
+
+    /// Makes `acc` and `rej` the two sets' records, in insertion order.
+    /// The records they already hold are rewritten in place, and a
+    /// point's reference count is written only where a record does not
+    /// share that point already: rewriting the vectors of an earlier
+    /// summary, whose records are mostly the same groups at the same
+    /// places, costs reference counts for the changed points only.
+    pub(crate) fn write_sets(&self, acc: &mut Vec<GroupRecord>, rej: &mut Vec<GroupRecord>) {
+        self.write_records(&self.acc_slots, acc);
+        self.write_records(&self.rej_slots, rej);
+    }
+
+    fn write_records(&self, slots: &[u32], records: &mut Vec<GroupRecord>) {
+        records.truncate(slots.len());
+        for (record, &slot) in records.iter_mut().zip(slots) {
+            let s = slot as usize;
+            record.rep.clone_from(&self.reps[s]);
+            record.cell_hash = self.cell_hashes[s];
+            record.count = self.counts[s];
+            record.reservoir.clone_from(&self.reservoirs[s]);
+        }
+        let written = records.len();
+        records.extend(slots[written..].iter().map(|&s| self.record_at(s)));
     }
 
     /// Rebuilds a store from materialized record vectors (the checkpoint

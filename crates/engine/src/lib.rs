@@ -41,7 +41,10 @@
 //!   state across snapshots ([`SamplerSummary::merge_with`]). Algorithm
 //!   1's shards only append to their candidate sets between rate
 //!   doublings, so a snapshot places only the records the shards appended
-//!   since the previous one ([`rds_core::MergePlan`]).
+//!   since the previous one ([`rds_core::MergePlan`]), and both the
+//!   shards' summaries and the merged one are written over the records
+//!   of the ones from two snapshots back, so only changed records cost
+//!   reference counts.
 //!
 //! Reads never mutate the stream state implicitly: [`ShardedEngine::flush`]
 //! is the only operation that ships partially filled batch buffers to the
@@ -168,7 +171,8 @@ struct Workers<S: DistinctSampler> {
     handles: Vec<JoinHandle<S>>,
     /// Last summary received from each shard, reused verbatim while the
     /// shard stays clean (no round trip, no copy — the per-shard
-    /// summaries are `Arc`-backed).
+    /// summaries are `Arc`-backed). Only the latest is held, so that a
+    /// shard's sampler can write its next summary over the one before.
     summary_cache: Vec<Option<S::Summary>>,
     /// The engine clock the cached summaries were advanced to; a moved
     /// clock invalidates them for time-sensitive sampler families.
@@ -179,7 +183,8 @@ struct Workers<S: DistinctSampler> {
     merged_cache: Option<S::Summary>,
     /// The summary family's merge state, kept across publishes: for
     /// Algorithm 1 a [`rds_core::MergePlan`], which absorbs only the
-    /// records the shards appended since the previous reduce; `()` for
+    /// records the shards appended since the previous reduce and writes
+    /// its output over the one it returned two reduces back; `()` for
     /// families whose merge keeps no state.
     merger: <S::Summary as SamplerSummary>::Merger,
 }

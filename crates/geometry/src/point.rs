@@ -27,9 +27,27 @@ use std::sync::Arc;
 /// assert_eq!(p.distance(&q), 5.0);
 /// assert_eq!(p.dim(), 2);
 /// ```
-#[derive(Clone, PartialEq, Serialize)]
+#[derive(PartialEq, Serialize)]
 pub struct Point {
     coords: Arc<[f64]>,
+}
+
+impl Clone for Point {
+    #[inline]
+    fn clone(&self) -> Self {
+        Self {
+            coords: Arc::clone(&self.coords),
+        }
+    }
+
+    /// Shares `source`'s coordinates, writing no reference count when
+    /// `self` already shares them.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        if !self.shares_coords(source) {
+            self.coords = Arc::clone(&source.coords);
+        }
+    }
 }
 
 // Deserialization is manual (same wire shape as the derive would emit) so
@@ -99,6 +117,13 @@ impl Point {
     #[inline]
     pub fn coords(&self) -> &[f64] {
         &self.coords
+    }
+
+    /// Whether both points share one coordinate buffer (one is a clone
+    /// of the other), not merely equal coordinates.
+    #[inline]
+    pub fn shares_coords(&self, other: &Point) -> bool {
+        Arc::ptr_eq(&self.coords, &other.coords)
     }
 
     /// The `i`-th coordinate.
@@ -319,6 +344,12 @@ mod tests {
         let q = p.clone();
         assert_eq!(p, q);
         assert_eq!(p.coords().as_ptr(), q.coords().as_ptr());
+        assert!(p.shares_coords(&q));
+        let equal = Point::new(vec![1.0, 2.0, 3.0]);
+        assert!(!p.shares_coords(&equal), "equal coordinates, two buffers");
+        let mut r = equal.clone();
+        r.clone_from(&p);
+        assert!(r.shares_coords(&p));
     }
 
     #[test]

@@ -95,10 +95,13 @@ where
     /// [`DistinctSampler::summary_cow`] `Arc`-shares the candidate sets
     /// untouched since the previous snapshot, and a sharded infinite-window
     /// engine's merge places only the records its shards appended since
-    /// the previous one. What still costs `O(state)` per publish is
-    /// rebuilding a changed shard's summary and writing the merged
-    /// summary's records (no full-summary clone or lock acquisition
-    /// happens here; rds-lint rule L6 enforces that invariant).
+    /// the previous one. What still costs `O(state)` per publish is one
+    /// walk over a changed infinite-window shard's records and one over
+    /// the merged records, in integer work: each writes over the records
+    /// of the summary from two publishes back and writes reference counts
+    /// only for new records and replaced reservoir members (no
+    /// full-summary clone or lock acquisition happens here; rds-lint rule
+    /// L6 enforces that invariant).
     fn freeze(&mut self) -> SnapshotSummary {
         self.flush();
         self.snapshot().into()
@@ -725,9 +728,12 @@ impl RdsWriter {
     /// and re-merge only when a shard actually changed (placing only
     /// the records the shards appended, for the infinite window); every sampler
     /// `Arc`-shares each candidate set untouched since the previous
-    /// publish. A publish with nothing new is `O(1)`; one after
-    /// `k` changed levels copies those levels only — never the whole
-    /// state. The snapshot swap itself is one lock-free atomic store.
+    /// publish. A publish with nothing new is `O(1)`. A window sampler
+    /// rebuilds its changed levels only; a changed infinite-window
+    /// sampler, and the merge over its shards, rewrite the records of the
+    /// summary from two publishes back, copying no point and writing
+    /// reference counts only for changed records. The snapshot swap
+    /// itself is one lock-free atomic store.
     pub fn publish(&mut self) -> u64 {
         let summary = self.backend.freeze();
         self.epoch += 1;
