@@ -90,6 +90,13 @@ perf_gate count 1 core.probe_ns "<=" 600 core.merge_many_ns "<=" 1200000 \
 # tenants answer as an eviction-free control does.
 perf_gate http 0
 perf_gate tenants 0
+# The unloaded round trip over loopback: writes 58-90 us and reads
+# 36-63 us (ten 3 s traced runs) with each response sent in one write,
+# 90-113 and 66-99 us (three runs) when every response went out as ten
+# TCP segments. A stall of the delayed-ACK class costs tens of ms; the
+# write count itself is pinned by
+# handlers::tests::each_response_leaves_in_one_write.
+perf_gate http 1 server.unloaded_write_us "<=" 300 server.unloaded_read_us "<=" 200
 # Tenant containers: sealing and reopening a ~3.2 KB container took
 # 46-82 and 90-159 us (nine 3 s traced runs) when the codec cloned the
 # value tree and the reader re-serialized the payload to checksum it,

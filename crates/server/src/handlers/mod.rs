@@ -21,7 +21,7 @@ use crate::{Ack, Shared};
 use rds_core::RdsError;
 use robust_distinct_sampling::RdsWriter;
 use serde::Deserialize;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -128,24 +128,33 @@ where
     Ok(ack)
 }
 
-/// Serves one connection until it closes: keep-alive loop, per-request
-/// `catch_unwind` (belt and braces under L8 — a handler bug answers
-/// 500 instead of killing the worker thread).
-pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
+/// Serves one connection until it closes: sets the socket up and runs
+/// [`serve`] over it.
+pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.read_timeout_ms.max(1))));
+    // with Nagle off, every socket write is a segment of its own, so
+    // `serve` answers each request with exactly one write
     let _ = stream.set_nodelay(true);
     let read_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    serve(&mut BufReader::new(read_half), &mut stream, shared);
+}
+
+/// The keep-alive loop: reads requests off `reader` and answers each
+/// on `writer` through one output buffer reused across requests, with
+/// a per-request `catch_unwind` (belt and braces under L8 — a handler
+/// bug answers 500 instead of killing the worker thread).
+fn serve<R: BufRead, W: Write>(reader: &mut R, writer: &mut W, shared: &Shared) {
+    let mut out_buf = Vec::new();
     loop {
-        match http::read_request(&mut reader, shared.max_body_bytes) {
+        match http::read_request(reader, shared.max_body_bytes) {
             ReadOutcome::Closed => break,
             ReadOutcome::Error(e) => {
                 let out = Outcome::from_http_error(&e);
-                let _ = http::write_response(&mut writer, out.status, &out.body, false);
+                let _ =
+                    http::write_response_with(writer, &mut out_buf, out.status, &out.body, false);
                 break;
             }
             ReadOutcome::Request(req) => {
@@ -163,11 +172,109 @@ pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
                 let keep =
                     req.keep_alive && out.status < 400 && !shared.stopping.load(Ordering::SeqCst);
                 let write_ok =
-                    http::write_response(&mut writer, out.status, &out.body, keep).is_ok();
+                    http::write_response_with(writer, &mut out_buf, out.status, &out.body, keep)
+                        .is_ok();
                 if !keep || !write_ok {
                     break;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parking_lot::{AtomicArc, Mutex};
+    use rds_geometry::Point;
+    use robust_distinct_sampling::Rds;
+    use std::io::{self, Cursor};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Arc;
+
+    /// A `Write` that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A published global stream whose sample holds hundreds of groups.
+    fn shared() -> Shared {
+        let (mut writer, reader) = Rds::builder()
+            .dim(2)
+            .alpha(0.5)
+            .seed(3)
+            .k(200)
+            .build_split()
+            .expect("valid configuration");
+        writer.process_batch((0..600).map(|i| Point::new(vec![3.0 * i as f64, 0.0])));
+        writer.publish();
+        Shared {
+            reader: AtomicArc::new(Arc::new(reader)),
+            writer: Mutex::new(Some(writer)),
+            dim: 2,
+            max_body_bytes: 1 << 20,
+            read_timeout_ms: 1_000,
+            draws: AtomicU64::new(0),
+            stopping: AtomicBool::new(false),
+            addr: "127.0.0.1:0".parse().expect("socket address"),
+            tenants: None,
+        }
+    }
+
+    /// A response as framed on the wire.
+    fn framed(status: &str, body: &str, connection: &str) -> Vec<u8> {
+        format!(
+            "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+             Connection: {connection}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    fn get(path: &str, query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: query
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: String::new(),
+            keep_alive: true,
+        }
+    }
+
+    #[test]
+    fn each_response_leaves_in_one_write() {
+        let shared = shared();
+        let raw = "GET /f0 HTTP/1.1\r\n\r\n\
+                   GET /query_k?k=1000&seed=7 HTTP/1.1\r\n\r\n\
+                   NONSENSE\r\n\r\n";
+        let mut out = Writes::default();
+        serve(&mut Cursor::new(raw), &mut out, &shared);
+
+        let f0 = dispatch(&get("/f0", &[]), &shared).body;
+        let query_k = dispatch(&get("/query_k", &[("k", "1000"), ("seed", "7")]), &shared).body;
+        assert!(query_k.len() > 8 * 1024, "{} bytes", query_k.len());
+        let envelope =
+            api_types::envelope("malformed_request", "malformed request line: `NONSENSE`");
+        let expected = vec![
+            framed("200 OK", &f0, "keep-alive"),
+            framed("200 OK", &query_k, "keep-alive"),
+            framed("400 Bad Request", &envelope, "close"),
+        ];
+        assert_eq!(out.0.len(), expected.len(), "one write per response");
+        for (got, want) in out.0.iter().zip(&expected) {
+            assert_eq!(String::from_utf8_lossy(got), String::from_utf8_lossy(want));
         }
     }
 }

@@ -19,7 +19,7 @@ pub const MAX_HEADERS: usize = 64;
 
 /// A parsed request: method, path split from its query string, and the
 /// fully-read UTF-8 body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method, uppercase as sent (`GET`, `POST`, ...).
     pub method: String,
@@ -312,27 +312,47 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response and flushes it.
+/// Writes one JSON response and flushes it, in a single `write_all`.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
+    write_response_with(w, &mut Vec::new(), status, body, keep_alive)
+}
+
+/// [`write_response`] through a caller-owned buffer, so a connection
+/// reuses one allocation across keep-alive requests. The status line,
+/// headers and body are assembled in `buf` and handed to `w` in one
+/// `write_all`: the server sets TCP_NODELAY, so every separate write
+/// would leave as its own segment.
+pub(crate) fn write_response_with<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    buf.clear();
+    // the status line and headers take at most 142 bytes
+    buf.reserve(160 + body.len());
     write!(
-        w,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+        buf,
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
     )?;
+    buf.extend_from_slice(body.as_bytes());
+    w.write_all(buf)?;
     w.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor, Read};
 
     fn parse(raw: &[u8]) -> ReadOutcome {
         read_request(&mut Cursor::new(raw), 1024)
@@ -452,14 +472,63 @@ mod tests {
         assert_eq!((e.status, e.code), (400, "malformed_header"));
     }
 
+    /// A `Read` that yields at most one byte per call, as a client that
+    /// sends a request in many small writes can.
+    struct OneByteAtATime<'a>(&'a [u8]);
+
+    impl Read for OneByteAtATime<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn fragmented_requests_parse_as_whole_ones() {
+        let mut long_line = b"GET /f0 HTTP/1.1\r\nX-Big: ".to_vec();
+        long_line.resize(
+            long_line.len() + MAX_LINE_BYTES + 1 - b"X-Big: ".len(),
+            b'a',
+        );
+        long_line.extend_from_slice(b"\r\n\r\n");
+        let cases: [&[u8]; 3] = [
+            b"POST /query_k?k=5&seed=7 HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+            &long_line,
+            b"POST /ingest HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
+        ];
+        let mut outcomes = Vec::new();
+        for raw in cases {
+            let fragmented = read_request(&mut BufReader::new(OneByteAtATime(raw)), 1024);
+            match (parse(raw), fragmented) {
+                (ReadOutcome::Request(a), ReadOutcome::Request(b)) => assert_eq!(a, b),
+                (ReadOutcome::Error(a), ReadOutcome::Error(b)) => {
+                    assert_eq!(a, b);
+                    outcomes.push((a.status, a.code));
+                }
+                (whole, fragmented) => panic!("{whole:?} vs fragmented {fragmented:?}"),
+            }
+        }
+        assert_eq!(
+            outcomes,
+            [(431, "line_too_long"), (400, "truncated_body")],
+            "the last two cases are rejected"
+        );
+    }
+
     #[test]
     fn response_writer_frames_the_body() {
         let mut out = Vec::new();
         write_response(&mut out, 200, "{\"ok\":true}", true).expect("write");
-        let text = String::from_utf8(out).expect("ascii");
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 11\r\n"));
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        assert_eq!(
+            String::from_utf8(out).expect("ascii"),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
     }
 }

@@ -166,28 +166,6 @@ where
         .collect()
 }
 
-/// Wraps `(point, time)` pairs into stream items with sequential arrival
-/// indices and the given timestamps.
-///
-/// # Panics
-///
-/// Panics if the timestamps are not non-decreasing.
-pub fn timed_stream<I>(points: I) -> Vec<StreamItem>
-where
-    I: IntoIterator<Item = (Point, u64)>,
-{
-    let mut last = 0u64;
-    points
-        .into_iter()
-        .enumerate()
-        .map(|(i, (p, t))| {
-            assert!(t >= last, "timestamps must be non-decreasing");
-            last = t;
-            StreamItem::new(p, Stamp::new(i as u64, t))
-        })
-        .collect()
-}
-
 /// Iterator adapter yielding the underlying items in `Vec` batches of at
 /// most `size` elements (the last batch may be shorter). Built by
 /// [`batched`]; the unit ingestion hot paths (`rds-engine`,
@@ -301,23 +279,6 @@ mod tests {
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].stamp, Stamp::at(0));
         assert_eq!(items[1].stamp, Stamp::at(1));
-    }
-
-    #[test]
-    fn timed_stream_accepts_bursts() {
-        let items = timed_stream(vec![
-            (Point::origin(1), 3),
-            (Point::origin(1), 3),
-            (Point::origin(1), 8),
-        ]);
-        assert_eq!(items[1].stamp, Stamp::new(1, 3));
-        assert_eq!(items[2].stamp, Stamp::new(2, 8));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn timed_stream_rejects_decreasing_time() {
-        let _ = timed_stream(vec![(Point::origin(1), 5), (Point::origin(1), 4)]);
     }
 
     #[test]
